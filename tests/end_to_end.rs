@@ -229,3 +229,74 @@ fn parallel_counter_flush_is_exact() {
         assert_eq!(f, f1, "full ops lost/duplicated at {threads} threads");
     }
 }
+
+/// FNV-1a digest of everything a mem-mode run reports: the per-location
+/// flag rows (location, op and flag counts, deviation bits), the op and
+/// byte counters, and the final mesh's leaf structure and interior bits.
+fn memmode_digest(sess: &Session, mesh: &amr::Mesh) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |bytes: &[u8]| {
+        for &b in bytes {
+            h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+        }
+    };
+    for r in sess.mem_flags() {
+        eat(r.loc.file.as_bytes());
+        for x in [u64::from(r.loc.line), u64::from(r.loc.col), r.stats.ops, r.stats.flags] {
+            eat(&x.to_le_bytes());
+        }
+        eat(&r.stats.max_dev.to_bits().to_le_bytes());
+        eat(&r.stats.sum_dev.to_bits().to_le_bytes());
+    }
+    let c = sess.counters();
+    for ops in [c.trunc, c.full] {
+        for x in [ops.add, ops.sub, ops.mul, ops.div, ops.sqrt, ops.fma, ops.math] {
+            eat(&x.to_le_bytes());
+        }
+    }
+    eat(&c.trunc_bytes.to_le_bytes());
+    eat(&c.full_bytes.to_le_bytes());
+    let p = mesh.params;
+    for idx in mesh.leaves() {
+        let b = mesh.block(idx);
+        for x in [b.pos.level, b.pos.ix, b.pos.iy] {
+            eat(&x.to_le_bytes());
+        }
+        for var in 0..p.nvar {
+            for j in 0..p.ny {
+                for i in 0..p.nx {
+                    eat(&b.data[mesh.index_int(var, i, j)].to_bits().to_le_bytes());
+                }
+            }
+        }
+    }
+    h
+}
+
+/// Golden pin of the e11m12 mem-mode results (the Table 2/3 format): a
+/// short adaptive PLM Sedov run and the Table-2 WENO5 fixed-dt baseline.
+/// Any change to slot values, flag statistics or counters moves a digest.
+#[test]
+fn memmode_e11m12_golden_digests() {
+    let fmt = Format::new(11, 12);
+    let cfg = || Config::mem_functions(fmt, ["Hydro"], 1e-4).with_counting();
+
+    let sess = Session::new(cfg()).unwrap();
+    let mut plm = hydro::setup(Problem::Sedov, 2, 8, ReconKind::Plm);
+    plm.run::<Tracked>(0.01, 4, 1, &sess);
+    let plm_digest = memmode_digest(&sess, &plm.mesh);
+
+    let sess = Session::new(cfg()).unwrap();
+    let mut weno = hydro::setup(Problem::Sedov, 2, 8, ReconKind::Weno5);
+    let dt = hydro::compute_dt::<f64, _>(&weno.mesh, &weno.eos, &weno.hydro);
+    weno.fixed_dt = Some(dt);
+    weno.adapt_every = 0;
+    weno.run::<Tracked>(3.0 * dt, 3, 1, &sess);
+    let weno_digest = memmode_digest(&sess, &weno.mesh);
+
+    assert_eq!(
+        (plm_digest, weno_digest),
+        (0x027f_b06d_f603_1044, 0xe3d1_cf2b_6b00_32de),
+        "e11m12 mem-mode digests (PLM Sedov, Table-2 WENO5 fixed dt)"
+    );
+}
