@@ -26,7 +26,7 @@
 
 use crate::config::{Config, EmulPath, Mode, Scope};
 use crate::counters::{CellCounts, Counters};
-use crate::memmode::MemState;
+use crate::memmode::{MemParams, MemState};
 use bigfloat::{Format, RoundMode};
 use std::cell::{Cell, RefCell};
 use std::sync::{Arc, Mutex};
@@ -217,9 +217,7 @@ impl Session {
         if self.installed_here() {
             ACTIVE.with(|cell| {
                 if let Some(act) = cell.borrow().as_ref() {
-                    if let Some(s) = act.mem.slots.get(idx) {
-                        out = Some((s.val.to_f64(), s.shadow));
-                    }
+                    out = act.mem.lookup(idx, &act.mem_params);
                 }
             });
         }
@@ -352,10 +350,13 @@ pub(crate) struct ActiveCtx {
     pub(crate) active: bool,
     /// This thread's mem-mode shard (slots + pending flag statistics).
     pub(crate) mem: MemState,
+    /// The session's mem-mode parameters and slot tier, resolved once.
+    pub(crate) mem_params: MemParams,
 }
 
 impl ActiveCtx {
     fn new(sess: Session) -> Self {
+        let mem_params = MemParams::new(&sess.inner.config);
         let mut ctx = ActiveCtx {
             sess,
             regions: Vec::new(),
@@ -363,6 +364,7 @@ impl ActiveCtx {
             level_epoch: 0,
             active: false,
             mem: MemState::default(),
+            mem_params,
         };
         ctx.recompute();
         ctx

@@ -88,13 +88,27 @@
 //! [`Session::mem_flags`] is read, so per-location reports aggregate all
 //! workers while the per-op path stays unsynchronized.
 //!
+//! **mem-mode slot tiers.** The mem-mode parameters and slot tier are
+//! resolved once per installed context. Sessions that round to
+//! nearest-even in a [`Format::double_round_safe`] format at
+//! `mem_precision == format.precision()`, off the [`EmulPath::Big`]
+//! path, store slots as plain `f64` pairs and run add/sub/mul/div/sqrt
+//! through the emulation short-cut below — bit-identical to the SoftFloat
+//! slots every other config keeps. Flag statistics go to a map hashed on
+//! `(line, col, file length)`, since most consecutive ops of an
+//! expression sit at different locations. See [`memmode`].
+//!
 //! **Emulation short-cut.** For round-to-nearest-even and formats where
 //! double rounding through `f64` is provably innocuous
 //! ([`Format::double_round_safe`]: Figueroa's `2p + 2 <= 53` bound plus a
 //! subnormal-range margin), add/sub/mul/div/sqrt/fma run as one hardware
 //! op plus bit-twiddled roundings — bit-identical to the SoftFloat
 //! kernels, which remain the general path (and the `Big` limb path stays
-//! available as the naive baseline of Table 3).
+//! available as the naive baseline of Table 3). The fma short-cut has a
+//! known gap: when the f64 fma lands exactly on a midpoint of the format
+//! (e11m12: `5 * 1639 - 2^-60` gives the tie 8195), the second rounding
+//! picks the even neighbour instead of the exact one. mem-mode fma
+//! avoids it by always using the exact-sticky path.
 //!
 //! **Batch kernels.** Even the cached per-op path pays a thread-local
 //! load, a dispatch branch, and a counter bump *per operation*. The

@@ -20,12 +20,14 @@
 //!   restriction to native formats.
 //!
 //! mem-mode ops go through the slow path: they need the thread's shadow
-//! shard and `#[track_caller]` source locations.
+//! shard and `#[track_caller]` source locations. In the f64 slot tier
+//! (see [`crate::memmode`]) add/sub/mul/div/sqrt take the same hardware
+//! short-cut as op-mode.
 
 use crate::config::EmulPath;
 use crate::context::{ActiveCtx, Dispatch, FastPath, ACTIVE, FAST};
 use crate::counters::OpKind;
-use crate::memmode::{self, rel_deviation, SlotVal, SrcLoc};
+use crate::memmode::{self, rel_deviation, Slot, SlotVal, SrcLoc};
 use bigfloat::{BigFloat, Format, RoundMode, SoftFloat};
 
 /// Math-library functions the runtime understands (paper §7.3: "not all
@@ -296,24 +298,23 @@ pub fn op_sign(a: f64, op: SignOp) -> f64 {
         Dispatch::Mem => with_mem(f, |act| {
             if act.active {
                 if let Some(idx) = memmode::decode_handle(a) {
-                    if let Some(s) = act.mem.slots.get(idx) {
-                        let (val, shadow) = match op {
-                            SignOp::Neg => (
-                                match &s.val {
-                                    SlotVal::Soft(x) => SlotVal::Soft(x.neg()),
-                                    SlotVal::Big(b) => SlotVal::Big(b.neg()),
-                                },
-                                -s.shadow,
-                            ),
-                            SignOp::Abs => (
-                                match &s.val {
-                                    SlotVal::Soft(x) => SlotVal::Soft(x.abs()),
-                                    SlotVal::Big(b) => SlotVal::Big(b.abs()),
-                                },
-                                s.shadow.abs(),
-                            ),
+                    if act.mem_params.f64_tier.is_some() {
+                        if let Some(s) = act.mem.slots_f64.get(idx) {
+                            // The stored NaN stays the canonical one, as
+                            // the SoftFloat tier's sign ops leave it.
+                            let val = if s.val.is_nan() { s.val } else { raw_sign(s.val, op) };
+                            let shadow = raw_sign(s.shadow, op);
+                            return act.mem.push_f64(val, shadow);
+                        }
+                    } else if let Some(s) = act.mem.slots.get(idx) {
+                        let val = match (&s.val, op) {
+                            (SlotVal::Soft(x), SignOp::Neg) => SlotVal::Soft(x.neg()),
+                            (SlotVal::Soft(x), SignOp::Abs) => SlotVal::Soft(x.abs()),
+                            (SlotVal::Big(b), SignOp::Neg) => SlotVal::Big(b.neg()),
+                            (SlotVal::Big(b), SignOp::Abs) => SlotVal::Big(b.abs()),
                         };
-                        return act.mem.push(crate::memmode::Slot { val, shadow });
+                        let shadow = raw_sign(s.shadow, op);
+                        return act.mem.push(Slot { val, shadow });
                     }
                 }
             }
@@ -360,14 +361,14 @@ pub fn op_atan2(y: f64, x: f64) -> f64 {
         }
         Dispatch::Mem => with_mem(f, |act| {
             f.trunc.bump(OpKind::Math);
-            let (prec, clamp, rm, threshold) = mem_params_act(act);
-            let (vy, shy) = act.mem.resolve(y, prec, clamp, rm);
-            let (vx, shx) = act.mem.resolve(x, prec, clamp, rm);
+            let mp = act.mem_params;
+            let (vy, shy) = act.mem.resolve(y, &mp);
+            let (vx, shx) = act.mem.resolve(x, &mp);
             let shadow = shy.atan2(shx);
             let r = vy.to_f64().atan2(vx.to_f64());
-            let val = memmode::make_val(r, prec, clamp, rm);
-            act.mem.record(loc.into(), rel_deviation(val.to_f64(), shadow), threshold);
-            act.mem.push(crate::memmode::Slot { val, shadow })
+            let val = memmode::make_val(r, mp.prec, mp.clamp, mp.round);
+            act.mem.record(loc.into(), rel_deviation(val.to_f64(), shadow), mp.threshold);
+            act.mem.push_val(val, shadow, &mp)
         }),
     })
 }
@@ -410,12 +411,9 @@ fn with_mem<R>(_f: &FastPath, body: impl FnOnce(&mut ActiveCtx) -> R) -> R {
 
 #[inline]
 fn resolve_in_ctx(act: &mut ActiveCtx, x: f64) -> f64 {
-    if let Some(idx) = memmode::decode_handle(x) {
-        if let Some(s) = act.mem.slots.get(idx) {
-            return s.val.to_f64();
-        }
-    }
-    x
+    memmode::decode_handle(x)
+        .and_then(|idx| act.mem.lookup(idx, &act.mem_params))
+        .map_or(x, |(val, _)| val)
 }
 
 // ---------------------------------------------------------------------------
@@ -622,16 +620,6 @@ pub(crate) fn emulate_math(fmt: Format, rm: RoundMode, path: EmulPath, func: Mat
 // mem-mode operations (slow path; state is the thread's shard, no lock)
 // ---------------------------------------------------------------------------
 
-fn mem_params_act(act: &ActiveCtx) -> (u32, Option<Format>, RoundMode, f64) {
-    let cfg = &act.sess.inner.config;
-    let clamp = if cfg.mem_precision <= cfg.format.precision() {
-        Some(cfg.format)
-    } else {
-        None
-    };
-    (cfg.mem_precision, clamp, cfg.round, cfg.mem_threshold)
-}
-
 fn slot_op2(
     kind: OpKind,
     a: &SlotVal,
@@ -678,23 +666,39 @@ fn slot_to_big(v: &SlotVal) -> BigFloat {
 }
 
 fn mem_op2(act: &mut ActiveCtx, kind: OpKind, a: f64, b: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
+    let mp = act.mem_params;
     let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
-    let (vb, shb) = mem.resolve(b, prec, clamp, rm);
-    let val = slot_op2(kind, &va, &vb, prec, clamp, rm);
+    if let Some(fmt) = mp.f64_tier {
+        let (va, sha) = mem.resolve_f64(a, fmt);
+        let (vb, shb) = mem.resolve_f64(b, fmt);
+        let val = memmode::round_tier(fmt, raw2(kind, va, vb));
+        let shadow = raw2(kind, sha, shb);
+        mem.record(loc, rel_deviation(val, shadow), mp.threshold);
+        return mem.push_f64(val, shadow);
+    }
+    let (va, sha) = mem.resolve(a, &mp);
+    let (vb, shb) = mem.resolve(b, &mp);
+    let val = slot_op2(kind, &va, &vb, mp.prec, mp.clamp, mp.round);
     let shadow = raw2(kind, sha, shb);
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+    mem.record(loc, rel_deviation(val.to_f64(), shadow), mp.threshold);
+    mem.push(Slot { val, shadow })
 }
 
 fn mem_sqrt(act: &mut ActiveCtx, a: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
+    let mp = act.mem_params;
     let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
+    if let Some(fmt) = mp.f64_tier {
+        let (va, sha) = mem.resolve_f64(a, fmt);
+        let val = memmode::round_tier(fmt, va.sqrt());
+        let shadow = sha.sqrt();
+        mem.record(loc, rel_deviation(val, shadow), mp.threshold);
+        return mem.push_f64(val, shadow);
+    }
+    let (prec, rm) = (mp.prec, mp.round);
+    let (va, sha) = mem.resolve(a, &mp);
     let val = match (&va, prec <= 61) {
         (SlotVal::Soft(x), true) => {
-            let r = match clamp {
+            let r = match mp.clamp {
                 Some(f) => f.sqrt(x, rm),
                 None => x.sqrt(prec.min(61), rm),
             };
@@ -703,34 +707,54 @@ fn mem_sqrt(act: &mut ActiveCtx, a: f64, loc: SrcLoc) -> f64 {
         _ => SlotVal::Big(slot_to_big(&va).sqrt(prec, rm)),
     };
     let shadow = sha.sqrt();
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+    mem.record(loc, rel_deviation(val.to_f64(), shadow), mp.threshold);
+    mem.push(Slot { val, shadow })
 }
 
 fn mem_fma(act: &mut ActiveCtx, a: f64, b: f64, c: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
+    let mp = act.mem_params;
+    let (prec, rm) = (mp.prec, mp.round);
     let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
-    let (vb, shb) = mem.resolve(b, prec, clamp, rm);
-    let (vc, shc) = mem.resolve(c, prec, clamp, rm);
-    let (ba, bb, bc) = (slot_to_big(&va), slot_to_big(&vb), slot_to_big(&vc));
-    let prod = ba.mul(&bb, 2 * prec + 2, rm);
-    let val = SlotVal::Big(prod.add(&bc, prec, rm));
+    let (va, sha) = mem.resolve(a, &mp);
+    let (vb, shb) = mem.resolve(b, &mp);
+    let (vc, shc) = mem.resolve(c, &mp);
+    let val = match (&va, &vb, &vc, mp.clamp) {
+        // Within a format: op-mode's exact-until-one-rounding fma, so the
+        // format's exponent range (overflow, subnormals) applies. Both
+        // tiers take this path; the hardware-fma short-cut is not used
+        // because rounding an f64 fma into the format can double-round
+        // when the f64 result lands on one of the format's midpoints.
+        (SlotVal::Soft(x), SlotVal::Soft(y), SlotVal::Soft(z), Some(fmt)) => {
+            let (tz, sticky) = x.fma_rz64(y, z);
+            SlotVal::Soft(if tz.is_zero() && !sticky {
+                // Exact-zero fma: sign per the final rounding direction.
+                x.fma(y, z, 1, rm)
+            } else {
+                fmt.round_soft_sticky(&tz, sticky, rm)
+            })
+        }
+        _ => {
+            let (ba, bb, bc) = (slot_to_big(&va), slot_to_big(&vb), slot_to_big(&vc));
+            let prod = ba.mul(&bb, 2 * prec + 2, rm);
+            SlotVal::Big(prod.add(&bc, prec, rm))
+        }
+    };
     let shadow = sha.mul_add(shb, shc);
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+    mem.record(loc, rel_deviation(val.to_f64(), shadow), mp.threshold);
+    mem.push_val(val, shadow, &mp)
 }
 
 fn mem_math(act: &mut ActiveCtx, func: MathFn, a: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
+    let mp = act.mem_params;
+    let (prec, rm) = (mp.prec, mp.round);
     let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
+    let (va, sha) = mem.resolve(a, &mp);
     // Math functions at >62-bit precision fall back to 53-bit seeds
     // (documented limitation; add/mul/div/sqrt stay correctly rounded).
     let val = match &va {
         SlotVal::Soft(x) if prec <= 62 => {
             let r = func.eval_soft(x, prec, rm);
-            SlotVal::Soft(match clamp {
+            SlotVal::Soft(match mp.clamp {
                 Some(fc) => fc.round_soft(&r, rm),
                 None => r,
             })
@@ -741,19 +765,20 @@ fn mem_math(act: &mut ActiveCtx, func: MathFn, a: f64, loc: SrcLoc) -> f64 {
         }
     };
     let shadow = func.eval_f64(sha);
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+    mem.record(loc, rel_deviation(val.to_f64(), shadow), mp.threshold);
+    mem.push_val(val, shadow, &mp)
 }
 
 fn mem_pow(act: &mut ActiveCtx, a: f64, b: f64, loc: SrcLoc) -> f64 {
-    let (prec, clamp, rm, threshold) = mem_params_act(act);
+    let mp = act.mem_params;
+    let (prec, rm) = (mp.prec, mp.round);
     let mem = &mut act.mem;
-    let (va, sha) = mem.resolve(a, prec, clamp, rm);
-    let (vb, shb) = mem.resolve(b, prec, clamp, rm);
+    let (va, sha) = mem.resolve(a, &mp);
+    let (vb, shb) = mem.resolve(b, &mp);
     let val = match (&va, &vb) {
         (SlotVal::Soft(x), SlotVal::Soft(y)) if prec <= 62 => {
             let r = x.pow(y, prec, rm);
-            SlotVal::Soft(match clamp {
+            SlotVal::Soft(match mp.clamp {
                 Some(fc) => fc.round_soft(&r, rm),
                 None => r,
             })
@@ -765,8 +790,8 @@ fn mem_pow(act: &mut ActiveCtx, a: f64, b: f64, loc: SrcLoc) -> f64 {
         }
     };
     let shadow = sha.powf(shb);
-    mem.record(loc, rel_deviation(val.to_f64(), shadow), threshold);
-    mem.push(crate::memmode::Slot { val, shadow })
+    mem.record(loc, rel_deviation(val.to_f64(), shadow), mp.threshold);
+    mem.push_val(val, shadow, &mp)
 }
 
 /// mem-mode boundary conversion *into* the truncated region
@@ -774,11 +799,9 @@ fn mem_pow(act: &mut ActiveCtx, a: f64, b: f64, loc: SrcLoc) -> f64 {
 /// its handle.
 pub fn mem_pre(x: f64) -> f64 {
     FAST.with(|f| match f.dispatch.get() {
-        Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => with_mem(f, |act| {
-            let (prec, clamp, rm, _) = mem_params_act(act);
-            let val = memmode::make_val(x, prec, clamp, rm);
-            act.mem.push(crate::memmode::Slot { val, shadow: x })
-        }),
+        Dispatch::Mem | Dispatch::MemInactive | Dispatch::MemInactiveCount => {
+            with_mem(f, |act| act.mem.pre(x, &act.mem_params))
+        }
         _ => x,
     })
 }
