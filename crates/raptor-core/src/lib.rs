@@ -91,10 +91,9 @@
 //! **mem-mode slot tiers.** The mem-mode parameters and slot tier are
 //! resolved once per installed context. Sessions that round to
 //! nearest-even in a [`Format::double_round_safe`] format at
-//! `mem_precision == format.precision()`, off the [`EmulPath::Big`]
-//! path, store slots as plain `f64` pairs and run add/sub/mul/div/sqrt
-//! through the emulation short-cut below — bit-identical to the SoftFloat
-//! slots every other config keeps. Flag statistics go to a map hashed on
+//! `mem_precision == format.precision()` store slots as plain `f64`
+//! pairs and run add/sub/mul/div/sqrt through the emulation short-cut
+//! below — bit-identical to the SoftFloat slots every other config keeps. Flag statistics go to a map hashed on
 //! `(line, col, file length)`, since most consecutive ops of an
 //! expression sit at different locations. See [`memmode`].
 //!

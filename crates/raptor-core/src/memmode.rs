@@ -21,10 +21,8 @@
 //!
 //! * the **f64 tier** stores each truncated value as a plain `f64` next to
 //!   its shadow. A session qualifies when it rounds to nearest-even, its
-//!   format passes [`Format::double_round_safe`], `mem_precision` equals
-//!   the format's precision, and its emulation path is not
-//!   [`EmulPath::Big`] (the naive baseline never takes a hardware
-//!   short-cut, in op-mode or here). Such formats embed in `f64`, so the
+//!   format passes [`Format::double_round_safe`], and `mem_precision`
+//!   equals the format's precision. Such formats embed in `f64`, so the
 //!   stored value is exact, and add/sub/mul/div/sqrt run as one hardware
 //!   op plus one rounding into the format (op-mode's short-cut, canonical
 //!   NaN) — bit-identical to the SoftFloat format kernels of the general
@@ -32,10 +30,12 @@
 //!   formats qualify.
 //! * the **general tier** stores [`SoftFloat`]/[`BigFloat`] values and
 //!   serves everything else: precision increase (`with_mem_precision`),
-//!   directed rounding, wide formats such as `e11m24`, and the `Big` path.
+//!   directed rounding, and wide formats such as `e11m24`.
 //!
 //! fma and the math functions run through the SoftFloat kernels in both
-//! tiers; the f64 tier converts its operands exactly.
+//! tiers; the f64 tier converts its operands exactly. The tier is not
+//! observable through the public API; `memmode::tier_tests` compares the
+//! two on every fp8 operand pair and every fp16/bf16 rounding boundary.
 //!
 //! ## Sharding
 //!
@@ -49,7 +49,8 @@
 //! "Runtime hot path" section of the crate docs for the invariants kernels
 //! may rely on.
 
-use crate::config::{Config, EmulPath};
+use crate::config::Config;
+use crate::ops::SignOp;
 use bigfloat::kernel::round_rne_core;
 use bigfloat::{BigFloat, Format, RoundMode, SoftFloat};
 use std::collections::HashMap;
@@ -60,7 +61,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 ///
 /// Equality is by content; hashing covers `(line, col, file.len())` only,
 /// which is consistent with that equality and skips the file bytes.
-#[derive(Clone, Copy, Debug, Eq, PartialOrd, Ord)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct SrcLoc {
     /// Source file path.
     pub file: &'static str,
@@ -68,15 +69,6 @@ pub struct SrcLoc {
     pub line: u32,
     /// 1-based column.
     pub col: u32,
-}
-
-impl PartialEq for SrcLoc {
-    /// Same result as a field-wise comparison; the integers go first
-    /// because consecutive ops mostly differ in the column.
-    #[inline]
-    fn eq(&self, other: &Self) -> bool {
-        self.col == other.col && self.line == other.line && self.file == other.file
-    }
 }
 
 impl Hash for SrcLoc {
@@ -155,8 +147,7 @@ impl MemParams {
         let fmt = cfg.format;
         let f64_tier = cfg.round == RoundMode::NearestEven
             && fmt.double_round_safe()
-            && cfg.mem_precision == fmt.precision()
-            && cfg.resolved_path() != EmulPath::Big;
+            && cfg.mem_precision == fmt.precision();
         MemParams {
             prec: cfg.mem_precision,
             clamp: (cfg.mem_precision <= fmt.precision()).then_some(fmt),
@@ -403,6 +394,30 @@ impl MemState {
         (round_tier(fmt, x), x)
     }
 
+    /// A sign op on a live slot: a fresh slot with the sign applied to both
+    /// the value and the shadow. Exact, so nothing is recorded. `None` when
+    /// `x` is not a live handle of the session's tier.
+    pub(crate) fn sign(&mut self, x: f64, op: SignOp, mp: &MemParams) -> Option<f64> {
+        let idx = decode_handle(x)?;
+        if mp.f64_tier.is_some() {
+            let s = *self.slots_f64.get(idx)?;
+            // The stored NaN stays the canonical one, as the SoftFloat
+            // tier's sign ops leave it.
+            let val = if s.val.is_nan() { s.val } else { op.apply(s.val) };
+            Some(self.push_f64(val, op.apply(s.shadow)))
+        } else {
+            let s = self.slots.get(idx)?;
+            let val = match (&s.val, op) {
+                (SlotVal::Soft(v), SignOp::Neg) => SlotVal::Soft(v.neg()),
+                (SlotVal::Soft(v), SignOp::Abs) => SlotVal::Soft(v.abs()),
+                (SlotVal::Big(b), SignOp::Neg) => SlotVal::Big(b.neg()),
+                (SlotVal::Big(b), SignOp::Abs) => SlotVal::Big(b.abs()),
+            };
+            let shadow = op.apply(s.shadow);
+            Some(self.push(Slot { val, shadow }))
+        }
+    }
+
     /// Record an operation's deviation at a location, accumulating runs of
     /// one location in the write-back cache.
     #[inline]
@@ -524,6 +539,9 @@ impl RoundChecked for SoftFloat {
 }
 
 #[cfg(test)]
+mod tier_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -616,7 +634,6 @@ mod tests {
         directed.round = RoundMode::TowardZero;
         assert_eq!(tier(directed), None, "directed rounding");
         assert_eq!(tier(mem(Format::new(11, 24))), None, "not double-round safe");
-        assert_eq!(tier(mem(e11m12).with_path(EmulPath::Big)), None, "naive path");
     }
 
     #[test]

@@ -281,11 +281,13 @@ pub enum SignOp {
     Abs,
 }
 
-#[inline(always)]
-fn raw_sign(a: f64, op: SignOp) -> f64 {
-    match op {
-        SignOp::Neg => -a,
-        SignOp::Abs => a.abs(),
+impl SignOp {
+    #[inline(always)]
+    pub(crate) fn apply(self, a: f64) -> f64 {
+        match self {
+            SignOp::Neg => -a,
+            SignOp::Abs => a.abs(),
+        }
     }
 }
 
@@ -296,31 +298,10 @@ fn raw_sign(a: f64, op: SignOp) -> f64 {
 pub fn op_sign(a: f64, op: SignOp) -> f64 {
     FAST.with(|f| match f.dispatch.get() {
         Dispatch::Mem => with_mem(f, |act| {
-            if act.active {
-                if let Some(idx) = memmode::decode_handle(a) {
-                    if act.mem_params.f64_tier.is_some() {
-                        if let Some(s) = act.mem.slots_f64.get(idx) {
-                            // The stored NaN stays the canonical one, as
-                            // the SoftFloat tier's sign ops leave it.
-                            let val = if s.val.is_nan() { s.val } else { raw_sign(s.val, op) };
-                            let shadow = raw_sign(s.shadow, op);
-                            return act.mem.push_f64(val, shadow);
-                        }
-                    } else if let Some(s) = act.mem.slots.get(idx) {
-                        let val = match (&s.val, op) {
-                            (SlotVal::Soft(x), SignOp::Neg) => SlotVal::Soft(x.neg()),
-                            (SlotVal::Soft(x), SignOp::Abs) => SlotVal::Soft(x.abs()),
-                            (SlotVal::Big(b), SignOp::Neg) => SlotVal::Big(b.neg()),
-                            (SlotVal::Big(b), SignOp::Abs) => SlotVal::Big(b.abs()),
-                        };
-                        let shadow = raw_sign(s.shadow, op);
-                        return act.mem.push(Slot { val, shadow });
-                    }
-                }
-            }
-            raw_sign(a, op)
+            let signed = if act.active { act.mem.sign(a, op, &act.mem_params) } else { None };
+            signed.unwrap_or_else(|| op.apply(a))
         }),
-        _ => raw_sign(a, op),
+        _ => op.apply(a),
     })
 }
 
@@ -719,12 +700,16 @@ fn mem_fma(act: &mut ActiveCtx, a: f64, b: f64, c: f64, loc: SrcLoc) -> f64 {
     let (vb, shb) = mem.resolve(b, &mp);
     let (vc, shc) = mem.resolve(c, &mp);
     let val = match (&va, &vb, &vc, mp.clamp) {
-        // Within a format: op-mode's exact-until-one-rounding fma, so the
-        // format's exponent range (overflow, subnormals) applies. Both
-        // tiers take this path; the hardware-fma short-cut is not used
-        // because rounding an f64 fma into the format can double-round
-        // when the f64 result lands on one of the format's midpoints.
-        (SlotVal::Soft(x), SlotVal::Soft(y), SlotVal::Soft(z), Some(fmt)) => {
+        // At the format's own precision: op-mode's exact-until-one-rounding
+        // fma, so the format's exponent range (overflow, subnormals)
+        // applies. Both tiers take this path; the hardware-fma short-cut is
+        // not used because rounding an f64 fma into the format can
+        // double-round when the f64 result lands on one of the format's
+        // midpoints. Below the format's precision fma keeps rounding at
+        // `prec` bits on the limb path.
+        (SlotVal::Soft(x), SlotVal::Soft(y), SlotVal::Soft(z), Some(fmt))
+            if prec == fmt.precision() =>
+        {
             let (tz, sticky) = x.fma_rz64(y, z);
             SlotVal::Soft(if tz.is_zero() && !sticky {
                 // Exact-zero fma: sign per the final rounding direction.

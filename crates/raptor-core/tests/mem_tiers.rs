@@ -1,10 +1,10 @@
-//! mem-mode slot tiers must agree bit for bit. A qualifying session stores
-//! slots in the f64 tier (hardware op plus one rounding into the format);
-//! the same format under `EmulPath::Big` keeps the general SoftFloat tier;
-//! op-mode rounds the same operations with its own Soft and Big paths.
-//! Every case compares the stored value and shadow bits of both tiers
-//! with each other and with op-mode, and the per-location flag rows
-//! (op and flag counts, `max_dev`/`sum_dev` bits) of the two tiers.
+//! mem-mode in a qualifying session (the f64 slot tier) must store exactly
+//! what op-mode's Soft and Big paths compute for the same operation, keep
+//! the plain f64 result as the shadow, and report the flag row that
+//! follows from the two. Per case it compares the stored value bits with
+//! both op-mode paths and the shadow bits with the native op; per run it
+//! compares the call site's flag row (op and flag counts, `max_dev` and
+//! `sum_dev` bits) with the row built from those results.
 //!
 //! * fp8 e4m3 and e5m2: all 65,536 operand pairs for add, sub, mul, div
 //!   and fma (two fixed addends), plus every sqrt input;
@@ -12,16 +12,17 @@
 //!   neighbours (including the overflow threshold), and the ±1-f64-ulp
 //!   neighbours of both, through `mem_pre`.
 //!
-//! Release builds run every case:
-//! `cargo test --release -p raptor-core --test mem_tiers`. Debug builds
-//! run a strided subset.
+//! The unit tests in `src/memmode/tier_tests.rs` compare the f64 tier with
+//! the general SoftFloat tier on the same inputs. Release builds run every
+//! case: `cargo test --release -p raptor-core --test mem_tiers`. Debug
+//! builds run a strided subset.
+
+mod common;
 
 use bigfloat::{Format, RoundMode, SoftFloat};
-use raptor_core::ops::{self, MathFn, SignOp};
+use common::{fp16_inputs, fp8_pairs, fp8_values, threshold};
+use raptor_core::ops;
 use raptor_core::{region, Config, EmulPath, OpKind, Session};
-
-/// Case stride: every case in release builds, a subset in debug builds.
-const STRIDE: usize = if cfg!(debug_assertions) { 61 } else { 1 };
 
 /// Slots allocated between slab clears.
 const CLEAR_EVERY: usize = 4096;
@@ -29,46 +30,10 @@ const CLEAR_EVERY: usize = 4096;
 /// Flag row of one call site: ops, flags, `max_dev` bits, `sum_dev` bits.
 type Row = (u64, u64, u64, u64);
 
-/// Every value of an 8-bit IEEE-style format, decoded from its encodings
-/// (the all-ones exponent holds the infinities and NaNs).
-fn fp8_values(fmt: Format) -> Vec<f64> {
-    let (e, m) = (fmt.exp_bits(), fmt.man_bits());
-    (0u32..256)
-        .map(|code| {
-            let sign = if code >> 7 == 1 { -1.0 } else { 1.0 };
-            let exp = (code >> m) & ((1 << e) - 1);
-            let frac = f64::from(code & ((1 << m) - 1));
-            let mag = if exp == (1 << e) - 1 {
-                if frac == 0.0 {
-                    f64::INFINITY
-                } else {
-                    f64::NAN
-                }
-            } else if exp == 0 {
-                frac * 2f64.powi(fmt.emin() - m as i32)
-            } else {
-                (1.0 + frac * 2f64.powi(-(m as i32))) * 2f64.powi(exp as i32 - fmt.bias())
-            };
-            sign * mag
-        })
-        .collect()
-}
-
-/// Threshold that flags deviations above a relative half ulp.
-fn threshold(fmt: Format) -> f64 {
-    2f64.powi(-(fmt.precision() as i32))
-}
-
-/// Run `op` on every case in mem-mode under `path`; per case the stored
-/// `(value, shadow)` bits, plus the session's flag rows.
-fn mem_run<C>(
-    fmt: Format,
-    path: EmulPath,
-    cases: &[C],
-    op: impl Fn(&C) -> f64,
-) -> (Vec<(u64, u64)>, Vec<Row>) {
-    let sess =
-        Session::new(Config::mem_functions(fmt, ["T"], threshold(fmt)).with_path(path)).unwrap();
+/// Run `op` on every case in mem-mode; per case the stored `(value,
+/// shadow)` bits, plus the session's flag rows.
+fn mem_run<C>(fmt: Format, cases: &[C], op: impl Fn(&C) -> f64) -> (Vec<(u64, u64)>, Vec<Row>) {
+    let sess = Session::new(Config::mem_functions(fmt, ["T"], threshold(fmt))).unwrap();
     let guard = sess.install();
     let slots = {
         let _r = region("T");
@@ -113,247 +78,159 @@ fn op_run<C>(fmt: Format, path: EmulPath, cases: &[C], op: impl Fn(&C) -> f64) -
     cases.iter().map(|c| op(c).to_bits()).collect()
 }
 
-/// Compare the two mem-mode tiers with each other and with op-mode's Soft
-/// and Big paths (`None` skips op-mode, for chains through mem-mode
-/// atan2, which rounds the hardware result instead of computing in
-/// SoftFloat).
-fn check_tiers<C: std::fmt::Debug>(
+/// Relative deviation of a truncated result from its FP64 shadow, as
+/// mem-mode defines it: 0 for equal values or two NaNs, infinite when one
+/// side is not finite, else relative to `max(|shadow|, sqrt(MIN_POSITIVE))`.
+fn rel_deviation(truncated: f64, shadow: f64) -> f64 {
+    if truncated == shadow || (truncated.is_nan() && shadow.is_nan()) {
+        0.0
+    } else if !truncated.is_finite() || !shadow.is_finite() {
+        f64::INFINITY
+    } else {
+        (truncated - shadow).abs() / shadow.abs().max(f64::MIN_POSITIVE.sqrt())
+    }
+}
+
+/// The flag row of one call site that ran once per `(truncated, shadow)`
+/// pair, in order.
+fn expected_row(fmt: Format, results: impl Iterator<Item = (f64, f64)>) -> Row {
+    let (mut ops, mut flags, mut max_dev, mut sum_dev) = (0, 0, 0.0f64, 0.0);
+    for (truncated, shadow) in results {
+        let dev = rel_deviation(truncated, shadow);
+        ops += 1;
+        sum_dev += dev;
+        if dev > max_dev {
+            max_dev = dev;
+        }
+        if dev > threshold(fmt) {
+            flags += 1;
+        }
+    }
+    (ops, flags, max_dev.to_bits(), sum_dev.to_bits())
+}
+
+/// Compare mem-mode `mem_op` with op-mode `op_op` under its Soft and Big
+/// paths, and its shadows with `native`. `counted` says whether `mem_op`
+/// is one counted op at one call site (a flag row is expected) or only a
+/// conversion (no row).
+fn check<C: std::fmt::Debug>(
     what: &str,
     fmt: Format,
     cases: &[C],
     mem_op: impl Fn(&C) -> f64,
-    op_op: Option<&dyn Fn(&C) -> f64>,
+    op_op: impl Fn(&C) -> f64,
+    native: impl Fn(&C) -> f64,
+    counted: bool,
 ) {
-    let (fast, fast_rows) = mem_run(fmt, EmulPath::Auto, cases, &mem_op);
-    let (general, general_rows) = mem_run(fmt, EmulPath::Big, cases, &mem_op);
-    let reference = op_op.map(|op| {
-        (
-            op_run(fmt, EmulPath::Soft, cases, op),
-            op_run(fmt, EmulPath::Big, cases, op),
-        )
-    });
+    let (mem, rows) = mem_run(fmt, cases, mem_op);
+    let soft = op_run(fmt, EmulPath::Soft, cases, &op_op);
+    let big = op_run(fmt, EmulPath::Big, cases, &op_op);
     for (i, c) in cases.iter().enumerate() {
-        let show = |bits: u64| f64::from_bits(bits);
+        let (val, shadow) = mem[i];
+        let show = f64::from_bits;
         assert_eq!(
-            fast[i],
-            general[i],
-            "{fmt} {what} {c:?}: f64 tier ({:e}, {:e}) vs general tier ({:e}, {:e})",
-            show(fast[i].0),
-            show(fast[i].1),
-            show(general[i].0),
-            show(general[i].1)
+            (val, val),
+            (soft[i], big[i]),
+            "{fmt} {what} {c:?}: mem-mode {:e} vs op-mode soft {:e} / big {:e}",
+            show(val),
+            show(soft[i]),
+            show(big[i])
         );
-        if let Some((soft, big)) = &reference {
-            assert_eq!(
-                (fast[i].0, fast[i].0),
-                (soft[i], big[i]),
-                "{fmt} {what} {c:?}: mem-mode {:e} vs op-mode soft {:e} / big {:e}",
-                show(fast[i].0),
-                show(soft[i]),
-                show(big[i])
-            );
-        }
+        assert_eq!(shadow, native(c).to_bits(), "{fmt} {what} {c:?}: shadow");
     }
-    assert_eq!(
-        fast_rows, general_rows,
-        "{fmt} {what}: flag rows of the two tiers"
-    );
-}
-
-fn fp8_pairs(fmt: Format) -> Vec<[f64; 2]> {
-    let vals = fp8_values(fmt);
-    let mut pairs = Vec::with_capacity(vals.len() * vals.len());
-    for &a in &vals {
-        for &b in &vals {
-            pairs.push([a, b]);
-        }
-    }
-    pairs.into_iter().step_by(STRIDE).collect()
+    let expected: Vec<Row> = if counted {
+        vec![expected_row(
+            fmt,
+            mem.iter()
+                .map(|&(v, s)| (f64::from_bits(v), f64::from_bits(s))),
+        )]
+    } else {
+        Vec::new()
+    };
+    assert_eq!(rows, expected, "{fmt} {what}: flag rows");
 }
 
 #[test]
-fn fp8_binary_ops_agree_across_tiers_and_op_mode() {
+fn fp8_binary_ops_match_op_mode() {
     for fmt in [Format::FP8_E4M3, Format::FP8_E5M2] {
         let pairs = fp8_pairs(fmt);
         for kind in [OpKind::Add, OpKind::Sub, OpKind::Mul, OpKind::Div] {
-            check_tiers(
+            let native = |&[a, b]: &[f64; 2]| match kind {
+                OpKind::Add => a + b,
+                OpKind::Sub => a - b,
+                OpKind::Mul => a * b,
+                _ => a / b,
+            };
+            check(
                 &format!("{kind:?}"),
                 fmt,
                 &pairs,
                 |&[a, b]| ops::op2(kind, ops::mem_pre(a), ops::mem_pre(b)),
-                Some(&|&[a, b]: &[f64; 2]| ops::op2(kind, a, b)),
+                |&[a, b]| ops::op2(kind, a, b),
+                native,
+                true,
             );
         }
     }
 }
 
 #[test]
-fn fp8_fma_agrees_across_tiers_and_op_mode() {
+fn fp8_fma_matches_op_mode() {
     for fmt in [Format::FP8_E4M3, Format::FP8_E5M2] {
         let pairs = fp8_pairs(fmt);
         // A mid-range addend that is not a format value, and the smallest
         // negative subnormal.
         for c in [0.3, -fmt.min_subnormal()] {
-            check_tiers(
+            check(
                 &format!("fma(., ., {c:e})"),
                 fmt,
                 &pairs,
                 |&[a, b]| ops::op_fma(ops::mem_pre(a), ops::mem_pre(b), ops::mem_pre(c)),
-                Some(&|&[a, b]: &[f64; 2]| ops::op_fma(a, b, c)),
+                |&[a, b]| ops::op_fma(a, b, c),
+                |&[a, b]| a.mul_add(b, c),
+                true,
             );
         }
     }
 }
 
 #[test]
-fn fp8_sqrt_agrees_across_tiers_and_op_mode() {
+fn fp8_sqrt_matches_op_mode() {
     for fmt in [Format::FP8_E4M3, Format::FP8_E5M2] {
-        check_tiers(
+        check(
             "sqrt",
             fmt,
             &fp8_values(fmt),
             |&a| ops::op_sqrt(ops::mem_pre(a)),
-            Some(&|&a: &f64| ops::op_sqrt(a)),
+            |&a| ops::op_sqrt(a),
+            |&a| a.sqrt(),
+            true,
         );
     }
 }
 
-/// Every value of a 16-bit format, every midpoint between positive
-/// neighbours (the last one is the overflow threshold), their ±1-f64-ulp
-/// neighbours, and the negatives of all of them, plus the specials.
-fn fp16_inputs(fmt: Format) -> Vec<f64> {
-    let mut pos = vec![0.0];
-    while let Some(&v) = pos.last() {
-        if v >= fmt.max_finite() {
-            break;
-        }
-        // The next format value: one ulp at v's exponent, or the smallest
-        // subnormal's spacing below the normal range.
-        let e = if v < fmt.min_normal() {
-            fmt.emin()
-        } else {
-            (v.to_bits() >> 52) as i32 - 1023
-        };
-        pos.push(v + 2f64.powi(e - fmt.man_bits() as i32));
-    }
-    // Zero plus every finite positive encoding.
-    assert_eq!(pos.len(), ((1 << fmt.exp_bits()) - 1) << fmt.man_bits());
-    let ulp_max = 2f64.powi(fmt.emax() - fmt.man_bits() as i32);
-    let mut points = Vec::new();
-    for (i, &v) in pos.iter().enumerate() {
-        let next = pos.get(i + 1).copied().unwrap_or(v + ulp_max);
-        for p in [v, v + (next - v) / 2.0] {
-            points.extend([p, f64::from_bits(p.to_bits() + 1)]);
-            if p > 0.0 {
-                points.push(f64::from_bits(p.to_bits() - 1));
-            }
-        }
-    }
-    let mut all: Vec<f64> = points.iter().flat_map(|&p| [p, -p]).collect();
-    all.extend([
-        f64::INFINITY,
-        f64::NEG_INFINITY,
-        f64::NAN,
-        f64::MAX,
-        f64::MIN_POSITIVE,
-    ]);
-    all.into_iter().step_by(STRIDE).collect()
-}
-
 #[test]
-fn fp16_and_bf16_promotion_agrees_across_tiers() {
+fn fp16_and_bf16_promotion_matches_op_mode() {
     for fmt in [Format::FP16, Format::BF16] {
         let inputs = fp16_inputs(fmt);
         // op-mode rounds its operands the same way; `x * 1` returns that
         // rounding unchanged (signed zeros included).
-        check_tiers(
+        check(
             "mem_pre",
             fmt,
             &inputs,
             |&x| ops::mem_pre(x),
-            Some(&|&x: &f64| ops::op2(OpKind::Mul, x, 1.0)),
+            |&x| ops::op2(OpKind::Mul, x, 1.0),
+            |&x| x,
+            false,
         );
         // And both equal one SoftFloat rounding into the format.
-        let (fast, _) = mem_run(fmt, EmulPath::Auto, &inputs, |&x| ops::mem_pre(x));
-        for (&x, &(val, _)) in inputs.iter().zip(&fast) {
+        let (mem, _) = mem_run(fmt, &inputs, |&x| ops::mem_pre(x));
+        for (&x, &(val, _)) in inputs.iter().zip(&mem) {
             let once = fmt
                 .round_soft(&SoftFloat::from_f64(x), RoundMode::NearestEven)
                 .to_f64();
             assert_eq!(val, once.to_bits(), "{fmt} mem_pre({x:e})");
         }
-    }
-}
-
-/// Raw values entering without `mem_pre` auto-promote through the same
-/// rounding in both tiers, and mixed chains through every mem-mode entry
-/// point (sign ops, math functions, pow, atan2, fma) store the same bits.
-#[test]
-fn mixed_chains_agree_across_tiers() {
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    let mut next = move || {
-        state ^= state << 13;
-        state ^= state >> 7;
-        state ^= state << 17;
-        (state >> 11) as f64 * 2f64.powi(-53)
-    };
-    let cases: Vec<[f64; 3]> = (0..2000 / STRIDE.min(20))
-        .map(|_| [4.0 * next() - 2.0, 3.0 * next() + 0.1, 1e-3 * next()])
-        .collect();
-    for fmt in [Format::new(11, 12), Format::FP16, Format::BF16] {
-        check_tiers(
-            "chain",
-            fmt,
-            &cases,
-            |&[a, b, c]| {
-                let (x, y) = (ops::mem_pre(a), ops::mem_pre(b));
-                let s = ops::op2(OpKind::Add, x, c); // c auto-promotes
-                let n = ops::op_sign(s, SignOp::Neg);
-                let e = ops::op_math(MathFn::Exp, n);
-                let p = ops::op_powf(y, ops::op_sign(x, SignOp::Abs));
-                let t = ops::op_atan2(e, p);
-                let f = ops::op_fma(t, y, x);
-                ops::op_sqrt(ops::op2(OpKind::Div, ops::op2(OpKind::Mul, f, f), y))
-            },
-            None,
-        );
-    }
-}
-
-/// fp16 promotion just above half the smallest subnormal rounds once, up
-/// to the subnormal (rounding to 11 bits first would land on the tie and
-/// round to zero).
-#[test]
-fn fp16_promotion_rounds_once_in_both_tiers() {
-    let x = f64::from_bits(2f64.powi(-25).to_bits() + 1);
-    for path in [EmulPath::Auto, EmulPath::Big] {
-        let (slots, _) = mem_run(Format::FP16, path, &[x], |&x| ops::mem_pre(x));
-        assert_eq!(f64::from_bits(slots[0].0), 2f64.powi(-24), "{path:?}");
-    }
-}
-
-/// mem-mode fma rounds into the format's exponent range: fp16 300 * 300
-/// overflows, as op-mode fma and mem-mode `a * b` do.
-#[test]
-fn fp16_fma_overflows_in_both_tiers() {
-    for path in [EmulPath::Auto, EmulPath::Big] {
-        let (slots, _) = mem_run(Format::FP16, path, &[300.0], |&x| {
-            let h = ops::mem_pre(x);
-            ops::op_fma(h, h, ops::mem_pre(0.0))
-        });
-        assert_eq!(f64::from_bits(slots[0].0), f64::INFINITY, "{path:?}");
-    }
-}
-
-/// mem-mode fma rounds once from the exact result even where an f64 fma
-/// lands on a format midpoint: 5 * 1639 - 2^-60 is just below the e11m12
-/// tie 8195, so it rounds down to 8194, not to the even neighbour 8196.
-#[test]
-fn fma_rounds_once_below_a_midpoint() {
-    let c = -(2f64.powi(-60));
-    for path in [EmulPath::Auto, EmulPath::Big] {
-        let (slots, _) = mem_run(Format::new(11, 12), path, &[[5.0, 1639.0]], |&[a, b]| {
-            ops::op_fma(ops::mem_pre(a), ops::mem_pre(b), ops::mem_pre(c))
-        });
-        assert_eq!(f64::from_bits(slots[0].0), 8194.0, "{path:?}");
     }
 }
