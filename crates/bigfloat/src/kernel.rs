@@ -30,22 +30,8 @@ pub fn round_rne_core(x: f64, exp_bits: u32, man_bits: u32) -> f64 {
         return x;
     }
     let bias = (1i32 << (exp_bits - 1)) - 1;
-    let emin = 1 - bias;
     let emax = bias;
-    // Decompose |x| = mant * 2^(exp - 52) with mant in [2^52, 2^53)
-    // (subnormal f64 inputs are normalized first).
-    let biased = (mag >> 52) as i32;
-    let (exp, mant) = if biased == 0 {
-        let frac = mag;
-        let lz = frac.leading_zeros(); // >= 12 for subnormals
-        (-1011 - lz as i32, frac << (lz - 11))
-    } else {
-        (biased - 1023, (1u64 << 52) | (mag & ((1u64 << 52) - 1)))
-    };
-    // Bits to drop from the 53-bit significand: precision loss plus the
-    // extra loss below the target's normal range (gradual underflow).
-    let extra = (emin - exp).max(0);
-    let drop = (52 - man_bits as i32) + extra;
+    let (exp, mant, drop) = decompose(mag, exp_bits, man_bits);
     if drop <= 0 {
         if exp > emax {
             return f64::from_bits(sign | f64::INFINITY.to_bits());
@@ -81,6 +67,41 @@ pub fn round_rne_core(x: f64, exp_bits: u32, man_bits: u32) -> f64 {
     f64::from_bits(res.to_bits() | sign)
 }
 
+/// Split a nonzero finite magnitude `mag` (f64 bits, sign cleared) into
+/// `|x| = mant * 2^(exp - 52)` with `mant` in `[2^52, 2^53)` (subnormal
+/// f64 inputs are normalized first), plus the number of low significand
+/// bits the format `(exp_bits, man_bits)` drops: precision loss plus the
+/// extra loss below its normal range (gradual underflow).
+#[inline(always)]
+fn decompose(mag: u64, exp_bits: u32, man_bits: u32) -> (i32, u64, i32) {
+    let emin = 2 - (1i32 << (exp_bits - 1));
+    let biased = (mag >> 52) as i32;
+    let (exp, mant) = if biased == 0 {
+        let lz = mag.leading_zeros(); // >= 12 for subnormals
+        (-1011 - lz as i32, mag << (lz - 11))
+    } else {
+        (biased - 1023, (1u64 << 52) | (mag & ((1u64 << 52) - 1)))
+    };
+    (exp, mant, (52 - man_bits as i32) + (emin - exp).max(0))
+}
+
+/// Whether `x` lies exactly halfway between two neighbours of the format
+/// `(exp_bits, man_bits)` — a round-to-nearest tie, including half the
+/// minimum subnormal and the overflow threshold half an ulp past the
+/// largest finite value. An `f64` result that lands on such a midpoint
+/// may have been rounded onto it from either side, so rounding it again
+/// into the format can go the wrong way; the fma short-cuts check this
+/// and re-run ties exactly.
+#[inline]
+pub fn is_midpoint_core(x: f64, exp_bits: u32, man_bits: u32) -> bool {
+    let mag = x.to_bits() & !(1 << 63);
+    if !x.is_finite() || mag == 0 {
+        return false;
+    }
+    let (_, mant, drop) = decompose(mag, exp_bits, man_bits);
+    (1..=53).contains(&drop) && mant & ((1u64 << drop) - 1) == 1u64 << (drop - 1)
+}
+
 /// Monomorphized round-to-nearest-even: [`round_rne_core`] with the widths
 /// baked in at compile time, so the bias/drop/mask arithmetic constant-folds
 /// and slice loops over it auto-vectorize.
@@ -110,6 +131,55 @@ mod tests {
 
     fn reference(fmt: Format, x: f64) -> f64 {
         fmt.round_f64(x, RoundMode::NearestEven)
+    }
+
+    #[test]
+    fn midpoints_are_detected_and_their_neighbours_are_not() {
+        let formats = [
+            Format::new(4, 3),
+            Format::FP8_E5M2,
+            Format::BF16,
+            Format::FP16,
+            Format::new(11, 12),
+            Format::new(5, 14),
+            Format::FP32,
+        ];
+        let next_f64 = |x: f64| f64::from_bits(x.to_bits() + 1);
+        let prev_f64 = |x: f64| f64::from_bits(x.to_bits() - 1);
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        for fmt in formats {
+            let (e, m) = (fmt.exp_bits(), fmt.man_bits());
+            // Half the minimum subnormal and the overflow threshold.
+            let specials = [
+                exp2i(fmt.emin() - m as i32 - 1),
+                fmt.max_finite() + exp2i(fmt.emax() - m as i32 - 1),
+            ];
+            for t in specials {
+                assert!(is_midpoint_core(t, e, m), "{fmt} special {t:e}");
+                assert!(is_midpoint_core(-t, e, m), "{fmt} special -{t:e}");
+            }
+            for _ in 0..4000 {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                // Magnitudes across the format's whole range, subnormals
+                // included.
+                let span = (fmt.emax() - fmt.emin() + m as i32 + 1) as u64;
+                let k = fmt.emin() - m as i32 + (state >> 40) as i32 % span as i32;
+                let v = f64::from_bits((state >> 12) | 0x3FF0_0000_0000_0000) * exp2i(k);
+                let lo = fmt.round_f64(v, RoundMode::TowardZero);
+                let hi = fmt.round_f64(next_f64(lo), RoundMode::Up);
+                if !hi.is_finite() {
+                    continue;
+                }
+                let mid = lo + (hi - lo) / 2.0;
+                assert!(is_midpoint_core(mid, e, m), "{fmt} mid of {lo:e}..{hi:e}");
+                assert!(!is_midpoint_core(next_f64(mid), e, m), "{fmt} above {mid:e}");
+                assert!(!is_midpoint_core(prev_f64(mid), e, m), "{fmt} below {mid:e}");
+                assert!(lo == 0.0 || !is_midpoint_core(lo, e, m), "{fmt} grid point {lo:e}");
+            }
+        }
+        assert!(!is_midpoint_core(f64::NAN, 11, 12));
+        assert!(!is_midpoint_core(f64::INFINITY, 11, 12));
+        assert!(!is_midpoint_core(0.0, 11, 12));
     }
 
     #[test]

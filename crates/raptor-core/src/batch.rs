@@ -37,7 +37,8 @@ use crate::config::{Config, EmulPath};
 use crate::context::{Dispatch, FastPath, FAST};
 use crate::counters::OpKind;
 use crate::ops;
-use bigfloat::kernel::{round_rne, round_rne_core};
+use bigfloat::kernel::{is_midpoint_core, round_rne, round_rne_core};
+use bigfloat::Format;
 use bigfloat::RoundMode;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -524,9 +525,17 @@ fn op_fma_fallback(f: &FastPath, a: &[f64], b: &[f64], c: &[f64], out: &mut [f64
     {
         let (e, m) = (fmt.exp_bits(), fmt.man_bits());
         for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
-            let r = round_rne_core(x, e, m)
-                .mul_add(round_rne_core(y, e, m), round_rne_core(z, e, m));
-            *o = if r.is_nan() { f64::NAN } else { round_rne_core(r, e, m) };
+            let [x, y, z] = [x, y, z].map(|v| round_rne_core(v, e, m));
+            let r = x.mul_add(y, z);
+            *o = if r.is_nan() {
+                f64::NAN
+            } else if is_midpoint_core(r, e, m) {
+                // A format midpoint may hide which side the exact value
+                // lay on (see `ops::emulate_fma`).
+                ops::fma_exact(fmt, rm, x, y, z)
+            } else {
+                round_rne_core(r, e, m)
+            };
         }
     } else {
         for (((o, &x), &y), &z) in out.iter_mut().zip(a).zip(b).zip(c) {
@@ -708,6 +717,11 @@ fn k_sqrt<const E: u32, const M: u32>(a: &[f64], out: &mut [f64]) {
 }
 
 fn k_fma<const E: u32, const M: u32>(a: &[f64], b: &[f64], c: &[f64], out: &mut [f64]) {
+    // A result exactly on a format midpoint cannot be rounded from the
+    // f64 fma alone (see `ops::emulate_fma`): in the normal range the
+    // low `52 - M` bits are then exactly the half pattern, and the chunk
+    // takes the precise path, which re-runs midpoints exactly.
+    let (low, half) = ((1u64 << (52 - M)) - 1, 1u64 << (51 - M));
     let n = out.len();
     let mut i0 = 0;
     while i0 < n {
@@ -718,15 +732,20 @@ fn k_fma<const E: u32, const M: u32>(a: &[f64], b: &[f64], c: &[f64], out: &mut 
         {
             let r = fast_round::<E, M>(x, &mut slow)
                 .mul_add(fast_round::<E, M>(y, &mut slow), fast_round::<E, M>(z, &mut slow));
+            slow |= r.to_bits() & low == half;
             *o = fast_round::<E, M>(r, &mut slow);
         }
         if slow {
             for (((o, &x), &y), &z) in
                 out[i0..i1].iter_mut().zip(&a[i0..i1]).zip(&b[i0..i1]).zip(&c[i0..i1])
             {
-                *o = finish::<E, M>(
-                    round_rne::<E, M>(x).mul_add(round_rne::<E, M>(y), round_rne::<E, M>(z)),
-                );
+                let [x, y, z] = [x, y, z].map(round_rne::<E, M>);
+                let r = x.mul_add(y, z);
+                *o = if is_midpoint_core(r, E, M) {
+                    ops::fma_exact(Format::new(E, M), RoundMode::NearestEven, x, y, z)
+                } else {
+                    finish::<E, M>(r)
+                };
             }
         }
         i0 = i1;
@@ -1132,6 +1151,51 @@ mod tests {
                         want
                     );
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_fma_matches_scalar_and_oracle_at_format_midpoints() {
+        // Random lanes plus lanes whose f64 fma lands exactly on an e11m12
+        // midpoint (`(d * 2^k) * q ± 2^(k-60)` with `d * q` an odd integer
+        // in [2^13, 2^14)), spread over several chunks. The table format
+        // runs `k_fma`, e11m13 the generic short-cut in
+        // `op_fma_fallback`; both must match the scalar path lane for lane
+        // and the Big oracle.
+        let mut state = 7u64;
+        let (mut a, mut b, mut c) = (vec![5.0], vec![1639.0], vec![-(2f64.powi(-60))]);
+        for t in ((1u64 << 13) + 1..1 << 14).step_by(2).take(300) {
+            if let Some(d) = (3..64).step_by(2).find(|d| t % d == 0) {
+                let k = (splitmix(&mut state) % 41) as i32 - 20;
+                let sign = if t % 4 == 1 { 1.0 } else { -1.0 };
+                a.push(d as f64 * 2f64.powi(k));
+                b.push((t / d) as f64);
+                c.push(sign * 2f64.powi(k - 60));
+            }
+            for v in [&mut a, &mut b, &mut c] {
+                v.push(f64::from_bits(splitmix(&mut state)) % 1e6);
+            }
+        }
+        assert!(a.len() > 2 * CHUNK);
+        for fmt in [Format::new(11, 12), Format::new(11, 13)] {
+            let mut out = vec![0.0; a.len()];
+            let oracle: Vec<f64> = {
+                let s = Session::new(Config::op_all(fmt).with_path(EmulPath::Big)).unwrap();
+                let _g = s.install();
+                (0..a.len()).map(|i| crate::ops::op_fma(a[i], b[i], c[i])).collect()
+            };
+            let s = Session::new(Config::op_all(fmt)).unwrap();
+            let _g = s.install();
+            batch_fma(&a, &b, &c, &mut out);
+            for i in 0..a.len() {
+                let want = crate::ops::op_fma(a[i], b[i], c[i]);
+                let bits = |x: f64| if x.is_nan() { f64::NAN.to_bits() } else { x.to_bits() };
+                assert_eq!(bits(out[i]), bits(want), "{fmt} lane {i}: batch vs scalar");
+                assert_eq!(bits(out[i]), bits(oracle[i]), "{fmt} lane {i}: batch vs Big");
+            }
+            if fmt == Format::new(11, 12) {
+                assert_eq!(out[0], 8194.0, "fma(5, 1639, -2^-60) in e11m12");
             }
         }
     }

@@ -28,6 +28,7 @@ use crate::config::EmulPath;
 use crate::context::{ActiveCtx, Dispatch, FastPath, ACTIVE, FAST};
 use crate::counters::OpKind;
 use crate::memmode::{self, rel_deviation, Slot, SlotVal, SrcLoc};
+use bigfloat::kernel::is_midpoint_core;
 use bigfloat::{BigFloat, Format, RoundMode, SoftFloat};
 
 /// Math-library functions the runtime understands (paper §7.3: "not all
@@ -549,34 +550,41 @@ pub(crate) fn emulate_fma(fmt: Format, rm: RoundMode, path: EmulPath, a: f64, b:
             fmt.round_soft_sticky(&tz.to_soft(), sticky, rm).to_f64()
         }
         _ => {
-            // Hardware short-cut: fused multiply-add double rounding
-            // through f64 is innocuous under the same 2p+2 bound (Roux,
-            // "Innocuous double rounding of basic arithmetic operations",
-            // JFR 2014, formally includes fma) — differentially tested
-            // against the exact-sticky fallback in tests/fastpath.rs.
+            let (a, b, c) = (fmt.round_f64(a, rm), fmt.round_f64(b, rm), fmt.round_f64(c, rm));
+            // Hardware short-cut: one f64 fma, then one rounding into the
+            // format. The f64 rounding is monotone and every midpoint of a
+            // `double_round_safe` format is an f64, so the second rounding
+            // is correct unless the f64 result lands exactly on a format
+            // midpoint: there the exact value may lie on either side, and
+            // only the exact path below can tell (e11m12
+            // `fma(5, 1639, -2^-60)` is 8194, not the 8196 a tie-to-even
+            // of the f64 result gives).
             if rm == RoundMode::NearestEven && fmt.double_round_safe() {
-                let r = fmt
-                    .round_f64(a, rm)
-                    .mul_add(fmt.round_f64(b, rm), fmt.round_f64(c, rm));
+                let r = a.mul_add(b, c);
                 if r.is_nan() {
                     return f64::NAN;
                 }
-                return fmt.round_f64(r, rm);
+                if !is_midpoint_core(r, fmt.exp_bits(), fmt.man_bits()) {
+                    return fmt.round_f64(r, rm);
+                }
             }
-            // Exact-until-one-rounding: fma truncated toward zero at 64
-            // bits with the inexact flag as sticky, then a single rounding
-            // into the format's precision and range.
-            let sa = SoftFloat::from_f64(fmt.round_f64(a, rm));
-            let sb = SoftFloat::from_f64(fmt.round_f64(b, rm));
-            let sc = SoftFloat::from_f64(fmt.round_f64(c, rm));
-            let (tz, sticky) = sa.fma_rz64(&sb, &sc);
-            if tz.is_zero() && !sticky {
-                // Exact-zero fma: sign per the final rounding direction.
-                return sa.fma(&sb, &sc, 1, rm).to_f64();
-            }
-            fmt.round_soft_sticky(&tz, sticky, rm).to_f64()
+            fma_exact(fmt, rm, a, b, c)
         }
     }
+}
+
+/// fma of three format values with a single rounding: the product-sum
+/// truncated toward zero at 64 bits with the inexact flag as sticky,
+/// then one rounding into the format's precision and range. The
+/// fallback of every fma short-cut (scalar and batch).
+pub(crate) fn fma_exact(fmt: Format, rm: RoundMode, a: f64, b: f64, c: f64) -> f64 {
+    let (sa, sb, sc) = (SoftFloat::from_f64(a), SoftFloat::from_f64(b), SoftFloat::from_f64(c));
+    let (tz, sticky) = sa.fma_rz64(&sb, &sc);
+    if tz.is_zero() && !sticky {
+        // Exact-zero fma: sign per the final rounding direction.
+        return sa.fma(&sb, &sc, 1, rm).to_f64();
+    }
+    fmt.round_soft_sticky(&tz, sticky, rm).to_f64()
 }
 
 #[inline]

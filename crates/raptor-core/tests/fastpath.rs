@@ -121,6 +121,34 @@ fn soft_path_matches_naive_oracle_randomized() {
             }
         }
     }
+    // Pinned: in e11m12 the f64 fma of (5, 1639, -2^-60) lands on the
+    // midpoint 8195, but the exact value lies just below it, so the
+    // answer is 8194, not the 8196 a tie-to-even of the f64 result gives.
+    let (e11m12, c) = (Format::new(11, 12), -(2f64.powi(-60)));
+    let s = run_fma(EmulPath::Soft, e11m12, 5.0, 1639.0, c);
+    assert_eq!(f64::from_bits(s), 8194.0);
+    assert_eq!(s, run_fma(EmulPath::Big, e11m12, 5.0, 1639.0, c));
+}
+
+/// fma operands whose exact result sits a hair off a format midpoint
+/// (the fma cases of `soft_path_matches_naive_oracle_at_ties`):
+/// `(d * 2^k) * q + c` with `d * q = T` an odd integer in `[2^p, 2^(p+1))`
+/// (a midpoint of the format's grid there) and `c = ±2^(k-60)`, far below
+/// half an f64 ulp of the result. The f64 fma rounds every such result
+/// onto the midpoint itself, so only an exact fallback can round it the
+/// way the exact value says.
+fn fma_midpoint_cases(fmt: Format) -> Vec<(f64, f64, f64)> {
+    let p = fmt.precision();
+    let mut cases = Vec::new();
+    for t in ((1u64 << p) + 1..1u64 << (p + 1)).step_by(2).take(400) {
+        let Some(d) = (3..64).step_by(2).find(|d| t % d == 0) else { continue };
+        for k in [-30i32, 0, 20] {
+            for sign in [1.0, -1.0] {
+                cases.push((d as f64 * 2f64.powi(k), (t / d) as f64, sign * 2f64.powi(k - 60)));
+            }
+        }
+    }
+    cases
 }
 
 /// Adversarial ties: operands engineered so the exact result sits exactly
@@ -163,6 +191,21 @@ fn soft_path_matches_naive_oracle_at_ties() {
             let n = run_op(EmulPath::Big, fmt, kind, a, b);
             assert_eq!(s, n, "{kind:?} {a} {b}");
         }
+    }
+    // fma results the f64 short-cut rounds onto a format midpoint, in
+    // short-cut formats whose exponent range admits them; the cases must
+    // include results a naive second rounding gets wrong.
+    for fmt in [fmt, Format::new(11, 4), Format::BF16, Format::new(8, 10), Format::FP32] {
+        assert!(fmt.double_round_safe(), "{fmt} takes the short-cut");
+        let mut flipped = 0;
+        for (a, b, c) in fma_midpoint_cases(fmt) {
+            let s = run_fma(EmulPath::Soft, fmt, a, b, c);
+            let n = run_fma(EmulPath::Big, fmt, a, b, c);
+            assert_eq!(s, n, "{fmt} fma {a:e} {b:e} {c:e}");
+            let naive = fmt.round_f64(a.mul_add(b, c), bigfloat::RoundMode::NearestEven);
+            flipped += (s != naive.to_bits()) as usize;
+        }
+        assert!(flipped > 0, "{fmt}: some case defeats naive double rounding");
     }
 }
 

@@ -20,12 +20,11 @@
 //! the mantissa ladder for the minimal width that stays above the
 //! fidelity floor — the `sedov_precision_hunt` workflow as a library.
 
-use crate::cache::{OutcomeCache, ResumeStats};
 use crate::scenario::{LabParams, Observable, Scenario};
 use bigfloat::Format;
 use codesign::{estimate_speedup, predicted_speedup, Machine};
 use raptor_core::{Config, Counters, EmulPath, Json, Mode, Report, Session};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Scope axis of a candidate configuration.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -522,27 +521,14 @@ pub fn run_campaign(scenario: &dyn Scenario, spec: &CampaignSpec) -> CampaignRep
 
 /// The candidates a campaign actually runs at `max_level`: cutoff
 /// candidates are dropped for scenarios without a refinement hierarchy
-/// (their static twins are bit-identical). Shared by the single-node and
-/// distributed drivers so both see the same lattice in the same order.
+/// (their static twins are bit-identical). Shared by [`run_campaign`]
+/// and [`crate::execute_study`] so both see the same lattice in the same
+/// order.
 pub(crate) fn eligible_candidates(
     spec: &CampaignSpec,
     max_level: u32,
 ) -> Vec<&CandidateSpec> {
     spec.candidates.iter().filter(|c| c.cutoff.is_none() || max_level > 1).collect()
-}
-
-/// Run campaigns for several scenarios (each scenario's candidates sweep
-/// in parallel; scenarios run back to back so baselines never contend).
-pub fn run_campaigns(scenarios: &[Box<dyn Scenario>], spec: &CampaignSpec) -> Vec<CampaignReport> {
-    scenarios.iter().map(|s| run_campaign(s.as_ref(), spec)).collect()
-}
-
-/// Bundle several campaign reports into one JSON document.
-pub fn campaigns_to_json(reports: &[CampaignReport]) -> Json {
-    Json::obj().set(
-        "campaigns",
-        Json::Arr(reports.iter().map(|r| r.to_json()).collect()),
-    )
 }
 
 pub(crate) fn run_candidate(
@@ -595,7 +581,7 @@ pub(crate) fn run_candidate(
 /// model (the counters in every row make this free). Freshly computed
 /// rows are unchanged by the recompute — it is deterministic on the same
 /// inputs — so a merged report stays identical to [`run_campaign`].
-/// Shared by the distributed campaign and study merge paths.
+/// Used by [`crate::execute_study`]'s merge.
 pub(crate) fn regate_and_rank(outcomes: &mut [CandidateOutcome], spec: &CampaignSpec) {
     for o in outcomes.iter_mut() {
         if o.error.is_none() {
@@ -736,28 +722,11 @@ impl SearchRow {
 
 /// Greedily bisect the mantissa ladder per cutoff for the minimal width
 /// that clears the fidelity floor. Rows run in parallel on the sweep
-/// pool; each probe is one full scenario run.
+/// pool; each probe is one full scenario run. The in-process reference
+/// [`crate::execute_search`] is tested against.
 pub fn precision_search(scenario: &dyn Scenario, spec: &SearchSpec) -> Vec<SearchRow> {
-    precision_search_resumable(scenario, spec, None).0
-}
-
-/// [`precision_search`] against a probe cache. Every bisection probe is
-/// a deterministic `(scenario, scale, threads, exp_bits, cutoff, m)`
-/// point, so a cached `(fidelity, truncated_fraction)` is served without
-/// running the scenario and the chain advances exactly as if the probe
-/// had run. The baseline reference run is built lazily, only when some
-/// probe actually misses — a fully-warm re-hunt of a completed search
-/// performs **zero** scenario runs. Fresh probes are recorded back into
-/// the cache (staged; the caller saves).
-pub fn precision_search_resumable(
-    scenario: &dyn Scenario,
-    spec: &SearchSpec,
-    cache: Option<&mut OutcomeCache>,
-) -> (Vec<SearchRow>, ResumeStats) {
     let max_level = scenario.max_level(&spec.params);
-    let baseline: OnceLock<Observable> = OnceLock::new();
-    let cache = Mutex::new(cache);
-    let stats = Mutex::new(ResumeStats::default());
+    let baseline = scenario.build(&spec.params).run(&Session::passthrough());
     let slots: Vec<Mutex<Option<SearchRow>>> =
         spec.cutoffs.iter().map(|_| Mutex::new(None)).collect();
     amr::pool_run(spec.cutoffs.len(), spec.workers.max(1), &|i| {
@@ -765,45 +734,12 @@ pub fn precision_search_resumable(
         let (mut chain, first) = ProbeChain::new(cutoff, spec.mantissa, spec.fidelity_floor);
         let mut pending = Some(first);
         while let Some(m) = pending {
-            let hit = cache
-                .lock()
-                .unwrap()
-                .as_deref()
-                .and_then(|c| c.get_probe(scenario.name(), &spec.params, spec.exp_bits, cutoff, m));
-            let (fid, frac) = match hit {
-                Some(v) => {
-                    stats.lock().unwrap().cached += 1;
-                    v
-                }
-                None => {
-                    let base = baseline
-                        .get_or_init(|| scenario.build(&spec.params).run(&Session::passthrough()));
-                    let v = run_probe(scenario, spec, cutoff, m, max_level, base);
-                    if let Some(c) = cache.lock().unwrap().as_deref_mut() {
-                        c.insert_probe(
-                            scenario.name(),
-                            &spec.params,
-                            spec.exp_bits,
-                            cutoff,
-                            m,
-                            v.0,
-                            v.1,
-                        );
-                    }
-                    stats.lock().unwrap().computed += 1;
-                    v
-                }
-            };
+            let (fid, frac) = run_probe(scenario, spec, cutoff, m, max_level, &baseline);
             pending = chain.advance(m, fid, frac);
         }
         *slots[i].lock().unwrap() = Some(chain.into_row());
     });
-    let rows = slots
-        .into_iter()
-        .map(|s| s.into_inner().unwrap().expect("pool ran every row"))
-        .collect();
-    let stats = *stats.lock().unwrap();
-    (rows, stats)
+    slots.into_iter().map(|s| s.into_inner().unwrap().expect("pool ran every row")).collect()
 }
 
 /// The greedy-bisection decision machine of one M-l search row,
@@ -811,7 +747,7 @@ pub fn precision_search_resumable(
 /// answers with the next mantissa width to probe (or finishes).
 ///
 /// Both search drivers run this exact machine — [`precision_search`]
-/// inline on a pool worker, the distributed search with each pending
+/// inline on a pool worker, [`crate::execute_search`] with each pending
 /// probe as a work-stealing task and the chain state held by the rank-0
 /// server — so their rows are identical **by construction**, probe for
 /// probe.
@@ -937,7 +873,7 @@ impl ProbeChain {
 /// Run one bisection probe: a full scenario run at `e{exp_bits}m{m}`
 /// under the M-`cutoff` strategy, scored against the baseline. Returns
 /// `(fidelity, truncated_fraction)`. Shared by the serial rows and the
-/// distributed probe tasks.
+/// stolen probe tasks of [`crate::execute_search`].
 pub(crate) fn run_probe(
     scenario: &dyn Scenario,
     spec: &SearchSpec,

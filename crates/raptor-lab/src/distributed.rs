@@ -1,274 +1,277 @@
-//! Distributed campaigns: the precision-sweep lattice and the greedy
-//! bisection fanned out across [`minimpi`] ranks through the shared
-//! work-stealing [`TaskPool`].
+//! The two drivers: [`execute_study`] sweeps a candidate lattice over
+//! one or more scenarios, [`execute_search`] runs the greedy precision
+//! hunt over one scenario. Both take an [`Exec`] — how many [`minimpi`]
+//! ranks to spread the work over, and which cache directory (if any) to
+//! resume from — and return the merged result plus the [`StudyStats`] of
+//! the run. Everything they schedule goes through the shared
+//! work-stealing [`TaskPool`] (see the [`crate::queue`] module docs for
+//! the protocol).
 //!
-//! [`run_campaign_distributed`] is the cluster-shaped twin of
-//! [`crate::run_campaign`]:
+//! A study flattens every `(scenario, candidate)` pair into one task
+//! list; a campaign is the one-scenario study. Each pair is one task, so
+//! skewed per-pair costs (a Kelvin–Helmholtz run next to a 16-call IR
+//! kernel) never idle a rank. Per-scenario full-precision baselines are
+//! lazy pool *resources*: the first stealer to need one computes and
+//! uploads it bit-exactly, and a scenario whose pairs are all cached
+//! never runs one. Finished [`CandidateOutcome`] rows return to rank 0 as
+//! JSON payloads whose finite `f64` fields round-trip exactly, and are
+//! reassembled **in lattice order** before the deterministic re-gate and
+//! stable ranking sort — so the merged [`StudyReport`] is byte-identical
+//! to [`crate::run_study`] (and each section to [`crate::run_campaign`])
+//! for any rank count.
 //!
-//! 1. missing candidate indices enter the pool's queue; every rank
-//!    (rank 0 included) contributes stealer threads that pull one
-//!    candidate at a time, so skewed per-candidate costs never idle a
-//!    rank the way the retired static block partition could;
-//! 2. the full-precision baseline observable is a lazy pool *resource*:
-//!    the first stealer to need it computes and uploads it bit-exactly
-//!    (hex `f64::to_bits` words), and a fully-cached resume never runs
-//!    it at all;
-//! 3. per-candidate [`CandidateOutcome`] rows travel back to rank 0 as
-//!    `done` payloads (JSON documents whose finite `f64` fields
-//!    round-trip exactly) and are reassembled **in candidate lattice
-//!    order**, so the stable ranking sort produces a merged
-//!    [`CampaignReport`] byte-identical to the single-rank sweep.
+//! A search steals at **probe** granularity: each greedy-bisection probe
+//! is one task, and the per-cutoff chain state (a `campaign::ProbeChain`)
+//! lives with the row owner — the rank-0 queue server — which readies a
+//! chain's next probe the moment its pending one completes. Probe chains
+//! are the most skewed work in the repo (their lengths differ per
+//! cutoff); stealing probes keeps every rank busy until the last chain
+//! dries up, while the shared `ProbeChain` machine keeps the rows
+//! identical to [`crate::precision_search`] probe for probe.
 //!
-//! [`precision_search_distributed`] steals at **probe** granularity: each
-//! greedy-bisection probe is one task, and the per-cutoff chain state
-//! (a `campaign::ProbeChain`) lives with the row owner — the rank-0
-//! queue server — which readies a chain's next probe the moment its
-//! pending one completes. Probe chains are the most skewed work in the
-//! repo (their lengths differ per cutoff), and the old row-per-rank
-//! block partition pinned each chain to one rank; stealing probes keeps
-//! every rank busy until the last chain dries up, while the shared
-//! `ProbeChain` machine keeps the merged rows identical to the serial
-//! search probe for probe.
-//!
-//! Resume layers on top ([`run_campaign_distributed_resumable`]): rows
-//! already present in an [`OutcomeCache`] are not re-run — only missing
-//! candidates enter the queue — and freshly computed rows are written
-//! back, so an interrupted sweep restarts warm. A fully-warm resume runs
-//! **zero** scenarios (the baseline self-fidelity is cached too). Cached
+//! With `Exec::cache` set, both drivers load the [`OutcomeCache`]
+//! directory, serve what it already holds, write back what they compute,
+//! save, and append one [`StatsRecord`] to the `stats_history.jsonl`
+//! inside it (labelled `campaign:<scenario>`, `study:<n> scenarios`, or
+//! `hunt:<scenario>`). Only missing pairs enter the queue, and cached
 //! `accepted` verdicts are re-gated against the live fidelity floor at
-//! merge time. Precision hunts resume the same way
-//! ([`precision_search_resumed`]): every bisection probe is a
-//! deterministic `(scenario, scale, cutoff, m)` point, so cached probes
-//! advance the chains without granting tasks and a warm re-hunt skips
-//! the pool — and the baseline — entirely.
+//! merge time. Every bisection probe is a deterministic
+//! `(scenario, scale, cutoff, m)` point, so cached probes advance the
+//! chains without granting tasks. A warm resume of a completed study or
+//! hunt performs **zero** scenario runs, baselines included.
 
-use crate::cache::{OutcomeCache, ResumeStats};
+use crate::cache::OutcomeCache;
 use crate::campaign::{
     eligible_candidates, regate_and_rank, run_candidate, run_probe, CampaignReport, CampaignSpec,
     CandidateOutcome, CandidateSpec, ProbeChain, SearchRow, SearchSpec,
 };
-use crate::queue::{FixedTasks, Task, TaskPool, TaskSource};
+use crate::queue::{FixedTasks, Task, TaskCtx, TaskPool, TaskSource};
 use crate::scenario::{Observable, Scenario};
-use crate::study::StudyStats;
-use minimpi::{Json, Wire};
+use crate::study::{append_stats_history, StatsRecord, StudyReport, StudyStats};
+use minimpi::Json;
 use raptor_core::Session;
 use std::collections::{HashMap, VecDeque};
+use std::path::Path;
 use std::time::Instant;
 
-impl Wire for CandidateOutcome {
-    fn to_wire(&self) -> Json {
-        self.to_json()
-    }
-
-    fn from_wire(doc: &Json) -> Result<CandidateOutcome, String> {
-        CandidateOutcome::from_json(doc)
-    }
+/// Where a study or search runs: the rank count and the resume cache.
+/// The worker budget stays in the spec ([`CampaignSpec::workers`],
+/// [`SearchSpec::workers`]).
+#[derive(Clone, Copy, Debug)]
+pub struct Exec<'a> {
+    /// minimpi rank count (`0` is treated as `1`).
+    pub ranks: usize,
+    /// Outcome-cache directory to resume from and write back to; `None`
+    /// runs without a cache and records no stats history.
+    pub cache: Option<&'a Path>,
 }
 
-impl Wire for SearchRow {
-    fn to_wire(&self) -> Json {
-        self.to_json()
+/// Run `body` against the cache `exec` names, if any: load it, run,
+/// save the staged rows, and append one [`StatsRecord`] labelled `label`
+/// to its stats history. The append is best-effort observability — a
+/// failure there is reported on stderr, never allowed to discard the
+/// completed (and already saved) run.
+fn with_cache<T>(
+    exec: &Exec<'_>,
+    label: String,
+    body: impl FnOnce(Option<&mut OutcomeCache>) -> (T, StudyStats),
+) -> Result<(T, StudyStats), String> {
+    let Some(path) = exec.cache else {
+        return Ok(body(None));
+    };
+    let mut cache = OutcomeCache::load(path)?;
+    let (out, stats) = body(Some(&mut cache));
+    cache.save()?;
+    if let Err(e) =
+        append_stats_history(cache.path(), &StatsRecord::now(label, exec.ranks, &stats))
+    {
+        eprintln!("warning: scheduler stats history not recorded: {e}");
     }
-
-    fn from_wire(doc: &Json) -> Result<SearchRow, String> {
-        SearchRow::from_json(doc)
-    }
+    Ok((out, stats))
 }
-
-/// The lazy-baseline resource key (campaigns and searches have exactly
-/// one shared resource: the scenario's full-precision observable).
-const BASELINE_KEY: u64 = 0;
 
 /// Run `f` against the baseline [`Observable`] for pool resource `key`,
 /// materializing it from the raw resource vector at most once per
-/// stealer (via [`TaskCtx::memo`](crate::queue::TaskCtx::memo), so the
-/// memo lives and dies with the stealer's pool run) — tasks are whole
-/// scenario runs, but there is no reason to re-clone the resource vector
-/// into an `Observable` for every one of them.
-pub(crate) fn with_baseline<T>(
-    ctx: &crate::queue::TaskCtx<'_>,
-    key: u64,
-    f: impl FnOnce(&Observable) -> T,
-) -> T {
+/// stealer (via [`TaskCtx::memo`], so the memo lives and dies with the
+/// stealer's pool run) — tasks are whole scenario runs, but there is no
+/// reason to re-clone the resource vector into an `Observable` for every
+/// one of them.
+fn with_baseline<T>(ctx: &TaskCtx<'_>, key: u64, f: impl FnOnce(&Observable) -> T) -> T {
     ctx.memo(key, |ctx| Observable { values: (*ctx.resource(key)).clone() }, f)
 }
 
-/// Run a campaign sharded across `nranks` minimpi ranks and return the
-/// merged, deterministically-ordered report — content-identical to
-/// [`crate::run_campaign`] on the same scenario and spec (same labels,
-/// fidelities, predicted speedups, and ranking, for any rank count).
-pub fn run_campaign_distributed(
-    scenario: &dyn Scenario,
+// ---------------------------------------------------------------------------
+// Studies (and campaigns: the one-scenario study)
+// ---------------------------------------------------------------------------
+
+/// Sweep `spec`'s candidate lattice over `scenarios` across `exec.ranks`
+/// ranks, resuming from `exec.cache` if set. The report is
+/// byte-identical (JSON) to [`crate::run_study`] for any rank count and
+/// cache state; a one-scenario study's single section is the campaign
+/// [`crate::run_campaign`] reports. Errors come only from the cache
+/// (load or save).
+pub fn execute_study(
+    scenarios: &[Box<dyn Scenario>],
     spec: &CampaignSpec,
-    nranks: usize,
-) -> CampaignReport {
-    run_campaign_distributed_resumable(scenario, spec, nranks, None).0
+    exec: &Exec<'_>,
+) -> Result<(StudyReport, StudyStats), String> {
+    let label = match scenarios {
+        [one] => format!("campaign:{}", one.name()),
+        _ => format!("study:{} scenarios", scenarios.len()),
+    };
+    with_cache(exec, label, |cache| study_pairs(scenarios, spec, exec.ranks, cache))
 }
 
-/// [`run_campaign_distributed`] with campaign resume: candidates already
-/// in `cache` are served from it (zero re-runs for a completed campaign);
-/// only missing candidates enter the work-stealing queue, and every row
-/// of the merged report is written back to the cache. The caller persists
-/// the cache with [`OutcomeCache::save`] when it wants durability.
-pub fn run_campaign_distributed_resumable(
-    scenario: &dyn Scenario,
-    spec: &CampaignSpec,
-    nranks: usize,
-    cache: Option<&mut OutcomeCache>,
-) -> (CampaignReport, ResumeStats) {
-    let (report, stats) = run_campaign_distributed_stats(scenario, spec, nranks, cache);
-    (report, ResumeStats { cached: stats.cached, computed: stats.computed })
+/// One entry of the flattened `(scenario, candidate)` pair lattice.
+struct Pair {
+    /// Index into the study's scenario list.
+    scenario: usize,
+    candidate: CandidateSpec,
 }
 
-/// [`run_campaign_distributed_resumable`] returning the full scheduler
-/// statistics ([`StudyStats`]: per-rank distribution, effective stealer
-/// count, queue wait, wall time) alongside the merged report — the row
-/// the stats history persists.
-pub fn run_campaign_distributed_stats(
-    scenario: &dyn Scenario,
+/// The study merge: serve cached pairs, steal the missing ones, and
+/// reassemble every section in lattice order.
+fn study_pairs(
+    scenarios: &[Box<dyn Scenario>],
     spec: &CampaignSpec,
     nranks: usize,
-    cache: Option<&mut OutcomeCache>,
-) -> (CampaignReport, StudyStats) {
+    mut cache: Option<&mut OutcomeCache>,
+) -> (StudyReport, StudyStats) {
     let t0 = Instant::now();
     let nranks = nranks.max(1);
-    let max_level = scenario.max_level(&spec.params);
-    let candidates = eligible_candidates(spec, max_level);
-    let mut cached: Vec<Option<CandidateOutcome>> = candidates
+    let max_levels: Vec<u32> = scenarios.iter().map(|s| s.max_level(&spec.params)).collect();
+
+    // The flattened pair lattice, in (scenario, candidate) order — the
+    // deterministic spine every merge below reassembles along.
+    let mut pairs: Vec<Pair> = Vec::new();
+    for (si, _) in scenarios.iter().enumerate() {
+        for c in eligible_candidates(spec, max_levels[si]) {
+            pairs.push(Pair { scenario: si, candidate: c.clone() });
+        }
+    }
+    let mut cached: Vec<Option<CandidateOutcome>> = pairs
         .iter()
-        .map(|c| {
-            cache.as_deref().and_then(|k| k.get(scenario.name(), &spec.params, c).cloned())
+        .map(|p| {
+            cache.as_deref().and_then(|k| {
+                k.get(scenarios[p.scenario].name(), &spec.params, &p.candidate).cloned()
+            })
         })
         .collect();
-    let missing: Vec<CandidateSpec> = candidates
-        .iter()
-        .zip(&cached)
-        .filter(|(_, hit)| hit.is_none())
-        .map(|(c, _)| (*c).clone())
-        .collect();
+    let missing: Vec<&Pair> =
+        pairs.iter().zip(&cached).filter(|(_, hit)| hit.is_none()).map(|(p, _)| p).collect();
+
     let mut stats = StudyStats {
-        cached: candidates.len() - missing.len(),
+        cached: pairs.len() - missing.len(),
         computed: missing.len(),
         pairs_by_rank: vec![0; nranks],
         ..StudyStats::default()
     };
 
-    let (baseline_fidelity, computed): (f64, Vec<CandidateOutcome>) = if missing.is_empty() {
-        // Fully warm: nothing to run — not even the baseline (its
-        // self-fidelity is cached alongside the rows; 1.0 by construction
-        // if this cache predates baseline recording).
-        let bf = cache
-            .as_deref()
-            .and_then(|k| k.baseline(scenario.name(), &spec.params))
-            .unwrap_or(1.0);
-        (bf, Vec::new())
-    } else {
-        let pool = TaskPool::new(nranks, spec.workers);
-        let missing_ref = &missing;
-        let mut run = pool.run(
-            1,
-            FixedTasks::new(missing.len()),
-            // Stealers are plain threads, not pool workers: mark each
-            // candidate run as in-sweep so a scenario's interior mesh
-            // sweeps (params.threads > 1) run inline instead of
-            // serializing all stealers on the process-wide pool's
-            // submit lock.
-            &|ctx, task, _detail| {
-                with_baseline(ctx, BASELINE_KEY, |baseline| {
-                    amr::run_inline(|| {
-                        run_candidate(
-                            scenario,
-                            spec,
-                            &missing_ref[task as usize],
-                            max_level,
-                            baseline,
-                        )
+    // Baselines of scenarios some stealer actually touched (keyed by
+    // scenario index); fully-cached scenarios stay `None` and fall back
+    // to their cached baseline self-fidelity.
+    let (computed, baselines): (Vec<CandidateOutcome>, Vec<Option<Observable>>) =
+        if missing.is_empty() {
+            (Vec::new(), vec![None; scenarios.len()])
+        } else {
+            let pool = TaskPool::new(nranks, spec.workers);
+            let missing_ref = &missing;
+            let run = pool.run(
+                scenarios.len(),
+                FixedTasks::new(missing.len()),
+                // Stealers are plain threads, not pool workers: mark each
+                // pair run as in-sweep so a scenario's interior mesh
+                // sweeps (params.threads > 1) run inline instead of
+                // serializing all stealers on the process-wide pool's
+                // submit lock — the same one-level-of-parallelism rule
+                // pool workers get implicitly.
+                &|ctx, task, _detail| {
+                    let Pair { scenario: si, candidate } = missing_ref[task as usize];
+                    with_baseline(ctx, *si as u64, |baseline| {
+                        amr::run_inline(|| {
+                            run_candidate(
+                                scenarios[*si].as_ref(),
+                                spec,
+                                candidate,
+                                max_levels[*si],
+                                baseline,
+                            )
+                        })
+                        .to_json()
                     })
-                    .to_json()
-                })
-            },
-            &|_key| {
-                amr::run_inline(|| scenario.build(&spec.params).run(&Session::passthrough()))
+                },
+                &|key| {
+                    amr::run_inline(|| {
+                        scenarios[key as usize].build(&spec.params).run(&Session::passthrough())
+                    })
                     .values
-            },
-        );
-        stats.absorb_pool(run.stats);
-        // Some stealer computed the baseline (every task scores against
-        // it); rank 0 rebuilds the self-fidelity from the exact bits.
-        let obs = Observable {
-            values: run.resources[BASELINE_KEY as usize]
-                .take()
-                .expect("a missing candidate touched the baseline"),
+                },
+            );
+            stats.absorb_pool(run.stats);
+            let computed = run
+                .source
+                .into_payloads()
+                .into_iter()
+                .map(|p| {
+                    CandidateOutcome::from_json(&p.expect("server collected a done per grant"))
+                        .expect("outcome rows round-trip the wire")
+                })
+                .collect();
+            let baselines =
+                run.resources.into_iter().map(|r| r.map(|values| Observable { values })).collect();
+            (computed, baselines)
         };
-        let bf = scenario.fidelity(&obs, &obs);
-        let computed: Vec<CandidateOutcome> = run
-            .source
-            .into_payloads()
-            .into_iter()
-            .map(|p| {
-                CandidateOutcome::from_json(&p.expect("every missing candidate completed"))
-                    .expect("outcome rows round-trip the wire")
-            })
-            .collect();
-        (bf, computed)
-    };
 
-    // Reassemble in candidate-lattice order — cached rows slot back in
-    // where they came from — then re-gate and rank. The stable sort makes
-    // the merged report bit-identical in content to the single-rank one.
+    // Reassemble in pair-lattice order: cached rows slot back in where
+    // they came from, stolen rows by their pair index.
     let mut fresh = computed.into_iter();
-    let mut outcomes: Vec<CandidateOutcome> = cached
+    let outcomes: Vec<CandidateOutcome> = cached
         .iter_mut()
         .map(|slot| match slot.take() {
             Some(o) => o,
-            None => fresh.next().expect("every missing candidate was computed"),
+            None => fresh.next().expect("every missing pair was stolen and completed"),
         })
         .collect();
-    debug_assert!(fresh.next().is_none(), "computed rows fully consumed");
-    regate_and_rank(&mut outcomes, spec);
+    debug_assert!(fresh.next().is_none(), "stolen rows fully consumed");
 
-    if let Some(k) = cache {
-        for o in &outcomes {
-            k.insert(scenario.name(), &spec.params, o);
+    // Per-scenario sections: group along the spine, re-gate, rank. A
+    // scenario can legitimately own zero pairs (e.g. a cutoff-only
+    // lattice on an unrefined workload); its section is just empty.
+    let mut counts = vec![0usize; scenarios.len()];
+    for p in &pairs {
+        counts[p.scenario] += 1;
+    }
+    let mut reports: Vec<CampaignReport> = Vec::with_capacity(scenarios.len());
+    let mut rows = outcomes.into_iter();
+    for (si, scenario) in scenarios.iter().enumerate() {
+        let mut section: Vec<CandidateOutcome> =
+            (0..counts[si]).map(|_| rows.next().expect("one outcome per pair")).collect();
+        regate_and_rank(&mut section, spec);
+        let baseline_fidelity = match &baselines[si] {
+            Some(obs) => scenario.fidelity(obs, obs),
+            None => cache
+                .as_deref()
+                .and_then(|k| k.baseline(scenario.name(), &spec.params))
+                .unwrap_or(1.0),
+        };
+        if let Some(k) = cache.as_deref_mut() {
+            for o in &section {
+                k.insert(scenario.name(), &spec.params, o);
+            }
+            k.set_baseline(scenario.name(), &spec.params, baseline_fidelity);
         }
-        k.set_baseline(scenario.name(), &spec.params, baseline_fidelity);
+        reports.push(CampaignReport {
+            scenario: scenario.name().to_string(),
+            crate_name: scenario.crate_name().to_string(),
+            params: spec.params,
+            fidelity_floor: spec.fidelity_floor,
+            baseline_fidelity,
+            outcomes: section,
+        });
     }
 
-    let report = CampaignReport {
-        scenario: scenario.name().to_string(),
-        crate_name: scenario.crate_name().to_string(),
-        params: spec.params,
-        fidelity_floor: spec.fidelity_floor,
-        baseline_fidelity,
-        outcomes,
-    };
     stats.wall_s = t0.elapsed().as_secs_f64();
-    (report, stats)
-}
-
-/// Load the cache at `path`, run the campaign resumably across `nranks`
-/// ranks, persist the updated cache, and append one row to the
-/// `stats_history.jsonl` next to it — the `--ranks N --resume <path>`
-/// CLI flow as one call. The history append is best-effort
-/// observability: a failure there is reported on stderr, never allowed
-/// to discard the completed (and already persisted) run.
-pub fn run_campaign_resumed(
-    scenario: &dyn Scenario,
-    spec: &CampaignSpec,
-    nranks: usize,
-    path: impl Into<std::path::PathBuf>,
-) -> Result<(CampaignReport, ResumeStats), String> {
-    let mut cache = OutcomeCache::load(path)?;
-    let (report, stats) =
-        run_campaign_distributed_stats(scenario, spec, nranks, Some(&mut cache));
-    cache.save()?;
-    if let Err(e) = crate::study::append_stats_history(
-        cache.path(),
-        &crate::study::StatsRecord::now(format!("campaign:{}", scenario.name()), nranks, &stats),
-    ) {
-        eprintln!("warning: scheduler stats history not recorded: {e}");
-    }
-    Ok((report, ResumeStats { cached: stats.cached, computed: stats.computed }))
+    (StudyReport::assemble(spec, reports), stats)
 }
 
 // ---------------------------------------------------------------------------
@@ -381,40 +384,26 @@ impl TaskSource for ChainSource {
     }
 }
 
-/// The distributed twin of [`crate::precision_search`], stolen at
-/// **probe** granularity: every greedy-bisection probe of every M-l
-/// cutoff row is one work-stealing task, with the per-cutoff chain state
-/// held by the rank-0 row owner. Rows come back in cutoff order,
-/// row-for-row identical to the single-rank search.
-pub fn precision_search_distributed(
+/// Run the greedy precision hunt of `spec` over `scenario` across
+/// `exec.ranks` ranks, resuming from `exec.cache` if set. Rows come back
+/// in cutoff order, row-for-row identical to [`crate::precision_search`].
+/// In the stats, `pairs_by_rank` counts completed *probes* per rank and
+/// `cached`/`computed` count probes served from the cache vs. run. When
+/// every chain drains from cached probes — a warm re-hunt — the pool
+/// (and the baseline reference run) is skipped entirely.
+pub fn execute_search(
     scenario: &dyn Scenario,
     spec: &SearchSpec,
-    nranks: usize,
-) -> Vec<SearchRow> {
-    precision_search_distributed_stats(scenario, spec, nranks).0
+    exec: &Exec<'_>,
+) -> Result<(Vec<SearchRow>, StudyStats), String> {
+    with_cache(exec, format!("hunt:{}", scenario.name()), |cache| {
+        search_probes(scenario, spec, exec.ranks, cache)
+    })
 }
 
-/// [`precision_search_distributed`] returning the scheduler statistics:
-/// `pairs_by_rank` counts completed *probes* per rank (`computed` is the
-/// total probe count; nothing is cached without a cache — see
-/// [`precision_search_distributed_resumable`]).
-pub fn precision_search_distributed_stats(
-    scenario: &dyn Scenario,
-    spec: &SearchSpec,
-    nranks: usize,
-) -> (Vec<SearchRow>, StudyStats) {
-    precision_search_distributed_resumable(scenario, spec, nranks, None)
-}
-
-/// [`precision_search_distributed`] against a probe cache: cached
-/// `(cutoff, m)` points are snapshotted into the `ChainSource`, which
-/// advances chains through them without granting tasks. When every chain
-/// drains from the snapshot alone — a warm re-hunt — the pool (and the
-/// baseline reference run) is skipped entirely: **zero** scenario runs.
-/// Fresh probes are recorded back into the cache (staged; the caller
-/// saves). `cached`/`computed` in the returned stats count probes served
-/// from the cache vs. run by pool workers.
-pub fn precision_search_distributed_resumable(
+/// The search driver's body: snapshot cached probes into a
+/// [`ChainSource`], steal the rest, and record fresh probes back.
+fn search_probes(
     scenario: &dyn Scenario,
     spec: &SearchSpec,
     nranks: usize,
@@ -446,6 +435,7 @@ pub fn precision_search_distributed_resumable(
         stats.wall_s = t0.elapsed().as_secs_f64();
         return (source.into_rows(), stats);
     }
+    // One pool resource, key 0: the scenario's baseline observable.
     let pool = TaskPool::new(nranks, spec.workers);
     let run = pool.run(
         1,
@@ -453,7 +443,7 @@ pub fn precision_search_distributed_resumable(
         &|ctx, _task, detail| {
             let ci = detail.u64_field("chain").expect("grant carries the chain index") as usize;
             let m = detail.u64_field("m").expect("grant carries the probe width") as u32;
-            let (fid, frac) = with_baseline(ctx, BASELINE_KEY, |baseline| {
+            let (fid, frac) = with_baseline(ctx, 0, |baseline| {
                 amr::run_inline(|| {
                     run_probe(scenario, spec, spec.cutoffs[ci], m, max_level, baseline)
                 })
@@ -479,29 +469,6 @@ pub fn precision_search_distributed_resumable(
     stats.absorb_pool(run.stats);
     stats.wall_s = t0.elapsed().as_secs_f64();
     (run.source.into_rows(), stats)
-}
-
-/// Run a cache-backed precision hunt end to end: load (or migrate) the
-/// cache at `path`, search with cached probes, persist fresh ones, and
-/// append one scheduler-stats record (labelled `hunt:<scenario>`) to the
-/// cache's stats history. The hunt twin of [`run_campaign_resumed`].
-pub fn precision_search_resumed(
-    scenario: &dyn Scenario,
-    spec: &SearchSpec,
-    nranks: usize,
-    path: impl Into<std::path::PathBuf>,
-) -> Result<(Vec<SearchRow>, StudyStats), String> {
-    let mut cache = OutcomeCache::load(path)?;
-    let (rows, stats) =
-        precision_search_distributed_resumable(scenario, spec, nranks, Some(&mut cache));
-    cache.save()?;
-    if let Err(e) = crate::study::append_stats_history(
-        cache.path(),
-        &crate::study::StatsRecord::now(format!("hunt:{}", scenario.name()), nranks, &stats),
-    ) {
-        eprintln!("warning: scheduler stats history not recorded: {e}");
-    }
-    Ok((rows, stats))
 }
 
 #[cfg(test)]

@@ -10,8 +10,11 @@
 //! * the [`Scenario`] trait + [`registry()`] — every workload crate
 //!   (hydro, incomp, eos, raptor-ir) behind one `build → run(&Session) →
 //!   fidelity` contract;
-//! * the campaign engine ([`run_campaign`], [`precision_search`]) — the
-//!   sweep itself, fanned out over the persistent sweep pool.
+//! * the campaign engine — the sweep itself: the in-process references
+//!   [`run_campaign`], [`run_study`] and [`precision_search`] on the
+//!   persistent sweep pool, and the two drivers [`execute_study`] and
+//!   [`execute_search`] that spread the same work over ranks and resume
+//!   it from a cache.
 //!
 //! ## Running campaigns
 //!
@@ -57,82 +60,74 @@
 //! bit-identical to the cached full-precision baseline, and the default
 //! metric maps relative-L1 distance through `1 / (1 + e)`.
 //!
-//! ## Distributed campaigns
+//! ## The drivers: ranks and resume
 //!
-//! [`run_campaign_distributed`] drains the candidate lattice across
-//! [`minimpi`] ranks through the shared work-stealing
-//! [`queue::TaskPool`] — every rank contributes stealer threads that
-//! pull one candidate at a time from a rank-0 queue server, and the
-//! full-precision baseline is a lazily-computed pool resource — with
-//! per-candidate outcome rows returning to rank 0 over the typed
-//! [`minimpi::Wire`] transport. The merged, deterministically-ordered
-//! [`CampaignReport`] is content-identical to the single-rank sweep for
-//! any rank count:
+//! Two drivers run everything beyond the in-process references above,
+//! both configured by one [`Exec`] — the [`minimpi`] rank count and an
+//! optional resume cache directory — and both returning their result
+//! with the run's [`StudyStats`]:
+//!
+//! * [`execute_study`] sweeps a lattice over a list of scenarios. Every
+//!   `(scenario, candidate)` pair is one task on the shared
+//!   work-stealing [`queue::TaskPool`]: each rank contributes stealer
+//!   threads that pull pairs from a rank-0 queue server, and each
+//!   scenario's full-precision baseline is a lazily-computed pool
+//!   resource. A *campaign* is the one-scenario study. The merged
+//!   [`StudyReport`] is byte-identical to [`run_study`] for any rank
+//!   count, and each section to [`run_campaign`].
+//! * [`execute_search`] runs the greedy hunt with every bisection probe
+//!   of every M-l cutoff as one task, the per-cutoff chain state held by
+//!   the rank-0 row owner, so skewed probe chains never pin to one rank.
+//!   Its rows equal [`precision_search`]'s.
 //!
 //! ```
-//! use raptor_lab::{find, run_campaign, run_campaign_distributed, CampaignSpec, LabParams};
+//! use raptor_lab::{execute_study, find, run_campaign, CampaignSpec, Exec, LabParams};
 //!
-//! let scenario = find("ir/horner").expect("registered");
+//! let scenarios = vec![find("ir/horner").expect("registered")];
 //! let spec = CampaignSpec::sweep(LabParams::mini());
-//! let single = run_campaign(scenario.as_ref(), &spec);
-//! let merged = run_campaign_distributed(scenario.as_ref(), &spec, 2);
-//! assert_eq!(merged.to_json().render(), single.to_json().render());
+//! let single = run_campaign(scenarios[0].as_ref(), &spec);
+//! let (study, stats) = execute_study(&scenarios, &spec, &Exec { ranks: 2, cache: None }).unwrap();
+//! assert_eq!(study.scenarios[0].to_json().render(), single.to_json().render());
+//! assert_eq!((stats.cached, stats.computed), (0, 6));
 //! ```
 //!
-//! Campaign **resume** layers on top: outcomes persist to an
-//! [`OutcomeCache`] file keyed by `(scenario, params, candidate label)`,
-//! so an interrupted or repeated sweep restarts warm and only recomputes
-//! missing candidates ([`run_campaign_distributed_resumable`] /
-//! [`run_campaign_resumed`]). The CLI flow through the example binaries:
+//! With `Exec::cache` set, outcomes persist to an [`OutcomeCache`]
+//! directory keyed by `(scenario, params, candidate label)`, and
+//! bisection probes by `(scenario, scale, cutoff, m)`, so an interrupted
+//! or repeated run restarts warm and only recomputes what is missing: a
+//! warm resume of a completed study or hunt performs zero scenario runs.
+//! Each cached run appends its [`StudyStats`] to the `stats_history.jsonl`
+//! inside the cache ([`append_stats_history`]). The directory holds
+//! per-scenario, per-shard JSONL files that any number of concurrent
+//! processes append to under advisory locks (see the [`cache`] module
+//! docs). [`native_candidates`] restricts the lattice to the hardware
+//! formats a GPU port could execute (the §3.6 constraint). The CLI flow
+//! through the example binaries:
 //!
 //! ```sh
 //! # Shard the sweep over 4 ranks, persisting outcomes as they complete.
 //! codesign_advisor hydro/sod --ranks 4 --resume sweep-cache
 //! # Re-run after an interrupt: cached rows are served, the rest computed.
 //! codesign_advisor hydro/sod --ranks 4 --resume sweep-cache
-//! # Fan the greedy bisection rows out across ranks, caching probes too.
+//! # Fan the greedy bisection probes out across ranks, caching them too.
 //! sedov_precision_hunt hydro/sedov --ranks 3 --resume sweep-cache
 //! # GPU-native lattice: what would a GPU port tolerate (fp32/fp64 only)?
 //! codesign_advisor hydro/sod --native
 //! ```
-//!
-//! The cache path names a *directory* of per-scenario, per-shard JSONL
-//! files that any number of concurrent processes append to under
-//! advisory locks (a legacy single-file cache migrates in place on
-//! first load — see the [`cache`] module docs).
-//!
-//! [`precision_search_distributed`] steals at **probe** granularity:
-//! every greedy-bisection probe of every M-l cutoff row is one
-//! work-stealing task, with the per-cutoff chain state held by the
-//! rank-0 row owner — the most skewed work in the repo (probe counts
-//! differ per cutoff) no longer pins whole rows to ranks. Probes are
-//! cached too ([`precision_search_resumed`]): each is a deterministic
-//! `(scenario, scale, cutoff, m)` point, so a warm re-hunt performs
-//! zero scenario runs. [`native_candidates`] restricts the lattice to
-//! the hardware formats a GPU port could execute (the §3.6 constraint).
 //!
 //! ## Studies: the whole registry in one table
 //!
 //! A *study* sweeps **every** scenario (or a `--scenarios` subset, see
 //! [`study_scenarios`]) over one candidate lattice and merges the results
 //! into a single cross-scenario codesign ranking — the paper's headline
-//! Table-1-style artifact. [`run_study_distributed`] flattens the
-//! `(scenario, candidate)` pair list and drains it through the same
-//! [`queue::TaskPool`] (rank 0 serves pair indices from a shared queue
-//! over the minimpi mailboxes; per-scenario baselines broadcast lazily
-//! on first touch), so skewed per-pair costs never idle ranks. One
-//! shared [`OutcomeCache`] directory covers the whole study, and every
-//! resumed run appends its [`StudyStats`] to the `stats_history.jsonl`
-//! inside it ([`study::append_stats_history`]). See the [`queue`]
-//! module docs for the protocol; the result is byte-identical to the
-//! serial [`run_study`] for any rank count:
+//! Table-1-style artifact:
 //!
 //! ```
-//! use raptor_lab::{run_study_distributed, study_scenarios, CampaignSpec, LabParams};
+//! use raptor_lab::{execute_study, study_scenarios, CampaignSpec, Exec, LabParams};
 //!
 //! let scenarios = study_scenarios(Some("ir/horner,eos/cellular")).unwrap();
 //! let spec = CampaignSpec::sweep(LabParams::mini());
-//! let study = run_study_distributed(&scenarios, &spec, 2);
+//! let (study, _) = execute_study(&scenarios, &spec, &Exec { ranks: 2, cache: None }).unwrap();
 //! assert_eq!(study.scenarios.len(), 2);
 //! assert_eq!(study.ranking.len(), 2);   // one codesign row per scenario
 //! println!("{}", study.render_markdown());
@@ -150,25 +145,19 @@ pub mod registry;
 pub mod scenario;
 pub mod study;
 
-pub use cache::{OutcomeCache, ResumeStats};
+pub use cache::OutcomeCache;
 pub use campaign::{
-    campaigns_to_json, default_candidates, format_ladder, native_candidates, precision_search,
-    precision_search_resumable, run_campaign, run_campaigns, search_to_json, shear_candidates,
-    CampaignReport, CampaignSpec, CandidateOutcome, CandidateSpec, ScopeAxis, SearchRow,
-    SearchSpec,
+    default_candidates, format_ladder, native_candidates, precision_search, run_campaign,
+    search_to_json, shear_candidates, CampaignReport, CampaignSpec, CandidateOutcome,
+    CandidateSpec, ScopeAxis, SearchRow, SearchSpec,
 };
-pub use distributed::{
-    precision_search_distributed, precision_search_distributed_resumable,
-    precision_search_distributed_stats, precision_search_resumed, run_campaign_distributed,
-    run_campaign_distributed_resumable, run_campaign_distributed_stats, run_campaign_resumed,
-};
+pub use distributed::{execute_search, execute_study, Exec};
 pub use queue::{FixedTasks, PoolRun, PoolStats, Task, TaskCtx, TaskPool, TaskSource};
 pub use registry::{find, registry, study_scenarios};
 pub use scenario::{
     fidelity_from_error, relative_l1, LabParams, Observable, Runnable, Scenario,
 };
 pub use study::{
-    append_stats_history, load_stats_history, render_stats_history, run_study,
-    run_study_distributed, run_study_distributed_resumable, run_study_resumed,
+    append_stats_history, load_stats_history, render_stats_history, run_study, run_study_resumed,
     stats_history_path, StatsRecord, StudyReport, StudyRow, StudyStats,
 };

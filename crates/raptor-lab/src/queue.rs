@@ -1,7 +1,8 @@
-//! The reusable work-stealing rank pool: PR 4's study queue-server,
-//! extracted so **every** distributed driver — studies, campaign sweeps,
-//! and probe-granularity precision searches — schedules through one
-//! [`TaskPool`] instead of a static block partition.
+//! The reusable work-stealing rank pool: both drivers —
+//! [`crate::execute_study`] (studies and campaigns, one task per
+//! `(scenario, candidate)` pair) and [`crate::execute_search`] (one task
+//! per bisection probe) — schedule through one [`TaskPool`] instead of a
+//! static block partition.
 //!
 //! ## Topology
 //!
@@ -28,7 +29,7 @@
 //!   queue is deep enough; after that, grants go to whoever asks.
 //! * **Parking.** A [`TaskSource`] may be *dynamic* — a completed task
 //!   can ready further tasks (the greedy-bisection probe chains of
-//!   `precision_search_distributed`). A requester that finds the queue
+//!   [`crate::execute_search`]). A requester that finds the queue
 //!   momentarily empty is parked, and un-parked in FIFO order the moment
 //!   a completion readies new work; when the source reports itself
 //!   [`TaskSource::exhausted`], all parked stealers are dismissed.

@@ -3,56 +3,38 @@
 //! codesign table — the paper's headline artifact (Table 1's shape) as
 //! one API call.
 //!
-//! A *study* flattens the two-level loop the campaign engine left
-//! implicit: instead of sweeping one scenario's candidates,
-//! [`run_study_distributed`] enumerates every `(scenario, candidate)`
-//! **pair** across the whole registry (or a subset, see
-//! [`crate::study_scenarios`]) and drains the flattened pair list
-//! through the shared work-stealing [`TaskPool`] (see the
-//! [`crate::queue`] module docs for the protocol):
-//!
-//! * each pair is one task; skewed per-pair costs (a Kelvin–Helmholtz
-//!   hydro run next to a 16-call IR kernel) never leave ranks idle;
-//! * per-scenario full-precision baselines are pool *resources*,
-//!   computed lazily on first touch and broadcast bit-exactly; scenarios
-//!   whose pairs are all cache hits never run one;
-//! * one shared [`OutcomeCache`] file covers the whole study (the cache
-//!   key already carries the scenario name), so a warm resume of a
-//!   completed study performs **zero** runs.
-//!
-//! The merged [`StudyReport`] carries one ranked [`CampaignReport`]
-//! section per scenario plus a cross-scenario codesign ranking, and its
-//! JSON rendering is **byte-identical for any rank count**: pairs are
-//! reassembled in lattice order before the deterministic re-gate + stable
-//! ranking sort, so where a pair ran never shows in the result. Where it
-//! ran *is* recorded — [`StudyStats`] — and persisted across runs:
-//! [`append_stats_history`] appends one JSON line per run to the
-//! `stats_history.jsonl` next to the cache, so scheduler changes stay
-//! measurable against the recorded baseline
+//! This module owns what a study *produces*: the [`StudyReport`] (one
+//! ranked [`CampaignReport`] section per scenario plus the cross-scenario
+//! [`StudyRow`] ranking), the scheduler statistics [`StudyStats`], and
+//! their persistent log. [`run_study`] is the in-process reference;
+//! [`crate::execute_study`] is the driver that spreads the
+//! `(scenario, candidate)` pairs over ranks and resumes from a cache (see
+//! the [`crate::distributed`] module docs). Its JSON rendering is
+//! **byte-identical for any rank count**: where a pair ran never shows in
+//! the report. Where it ran *is* recorded — [`StudyStats`] — and every
+//! cached run appends one JSON line to the `stats_history.jsonl` inside
+//! its cache directory ([`append_stats_history`]), so scheduler changes
+//! stay measurable against the recorded baseline
 //! (`codesign_advisor --stats-history` renders the trend).
 //!
 //! ```
-//! use raptor_lab::{run_study, run_study_distributed, study_scenarios, CampaignSpec, LabParams};
+//! use raptor_lab::{execute_study, run_study, study_scenarios, CampaignSpec, Exec, LabParams};
 //!
 //! let scenarios = study_scenarios(Some("ir/horner,ir/norm3")).unwrap();
 //! let spec = CampaignSpec::sweep(LabParams::mini());
 //! let single = run_study(&scenarios, &spec);
-//! let stolen = run_study_distributed(&scenarios, &spec, 2);
+//! let exec = Exec { ranks: 2, cache: None };
+//! let (stolen, stats) = execute_study(&scenarios, &spec, &exec).unwrap();
 //! assert_eq!(stolen.to_json().render(), single.to_json().render());
+//! assert_eq!(stats.pairs_by_rank.len(), 2);
 //! println!("{}", stolen.render_markdown()); // the Table-1-style summary
 //! ```
 
-use crate::cache::OutcomeCache;
-use crate::campaign::{
-    eligible_candidates, regate_and_rank, run_campaign, run_candidate, CampaignReport,
-    CampaignSpec, CandidateOutcome, CandidateSpec,
-};
-use crate::queue::{FixedTasks, TaskPool};
-use crate::scenario::{LabParams, Observable, Scenario};
+use crate::campaign::{run_campaign, CampaignReport, CampaignSpec};
+use crate::distributed::Exec;
+use crate::scenario::{LabParams, Scenario};
 use minimpi::Json;
-use raptor_core::Session;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
 // ---------------------------------------------------------------------------
 // Reports
@@ -163,9 +145,9 @@ pub struct StudyReport {
 
 impl StudyReport {
     /// Build the study from its per-scenario reports (the single place
-    /// the ranking is derived, shared by the serial and distributed
-    /// drivers so both produce byte-identical output).
-    fn assemble(spec: &CampaignSpec, scenarios: Vec<CampaignReport>) -> StudyReport {
+    /// the ranking is derived, shared by [`run_study`] and
+    /// [`crate::execute_study`] so both produce byte-identical output).
+    pub(crate) fn assemble(spec: &CampaignSpec, scenarios: Vec<CampaignReport>) -> StudyReport {
         let mut ranking: Vec<StudyRow> = scenarios.iter().map(StudyRow::from_report).collect();
         ranking.sort_by(|a, b| {
             b.recommended
@@ -277,9 +259,8 @@ impl StudyReport {
 /// spread the work, how much of it the shared cache absorbed, and what
 /// the scheduling cost. Kept out of [`StudyReport`] on purpose — the
 /// report must be byte-identical across rank counts; the stats are where
-/// the distribution shows. Shared by studies, distributed campaigns, and
-/// probe-stealing precision searches (where `pairs_by_rank` counts
-/// probes).
+/// the distribution shows. Returned by [`crate::execute_study`] and by
+/// [`crate::execute_search`] (where the units are probes).
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StudyStats {
     /// Units served from the shared cache without running anything.
@@ -303,8 +284,7 @@ pub struct StudyStats {
 impl StudyStats {
     /// Fold a drained pool run's scheduling stats into this record — the
     /// single bridge from [`crate::queue::PoolStats`], so a new pool
-    /// metric gets recorded by every driver (campaign, search, study) or
-    /// none.
+    /// metric gets recorded by both drivers or neither.
     pub fn absorb_pool(&mut self, pool: crate::queue::PoolStats) {
         self.pairs_by_rank = pool.tasks_by_rank;
         self.stealers = pool.stealers;
@@ -348,15 +328,14 @@ impl StudyStats {
 }
 
 /// One appended line of the stats history: which run produced the stats,
-/// against which cache file, at how many ranks, when.
+/// against which cache directory, at how many ranks, when.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StatsRecord {
     /// What ran: `campaign:<scenario>`, `study:<n> scenarios`, or
-    /// `search:<scenario>`.
+    /// `hunt:<scenario>`.
     pub label: String,
-    /// File name of the cache the run resumed against. The history file
-    /// is shared per directory (one `stats_history.jsonl` sibling), so
-    /// this is what keeps rows of co-located caches distinguishable.
+    /// File name of the cache directory the run resumed against, so rows
+    /// stay attributable when histories are compared side by side.
     /// Stamped by [`append_stats_history`].
     pub cache: String,
     /// minimpi rank count of the run.
@@ -412,23 +391,19 @@ impl StatsRecord {
     }
 }
 
-/// Where the stats history of the cache at `cache_path` lives: a
-/// `stats_history.jsonl` — one compact JSON document per line,
-/// append-only, so every resumed run (study, campaign, or hunt) adds
-/// exactly one row and the file diffs like a log. For a sharded cache
-/// directory the history lives *inside* it (top level, next to the
-/// scenario shard dirs); for a legacy file path it is a sibling.
+/// Where the stats history of the cache directory at `cache_path` lives:
+/// a `stats_history.jsonl` at its top level, next to the scenario shard
+/// dirs — one compact JSON document per line, append-only, so every
+/// cached run (study, campaign, or hunt) adds exactly one row and the
+/// file diffs like a log.
 pub fn stats_history_path(cache_path: &Path) -> PathBuf {
-    if cache_path.is_dir() {
-        return cache_path.join("stats_history.jsonl");
-    }
-    cache_path.parent().unwrap_or_else(|| Path::new(".")).join("stats_history.jsonl")
+    cache_path.join("stats_history.jsonl")
 }
 
-/// Append one record to the stats history next to `cache_path` and
-/// return the history path. Called by [`run_study_resumed`] and
-/// [`crate::run_campaign_resumed`] after every run, so scheduler changes
-/// are measurable against the recorded baseline.
+/// Append one record to the stats history of the cache directory at
+/// `cache_path` and return the history path. [`crate::execute_study`]
+/// and [`crate::execute_search`] call this after every cached run, so
+/// scheduler changes are measurable against the recorded baseline.
 pub fn append_stats_history(cache_path: &Path, record: &StatsRecord) -> Result<PathBuf, String> {
     use std::io::Write;
     let path = stats_history_path(cache_path);
@@ -504,215 +479,29 @@ pub fn render_stats_history(records: &[StatsRecord]) -> String {
 
 /// Run the study serially in-process: one campaign per scenario (each
 /// scenario's candidates still sweep in parallel on the process-wide
-/// pool), then the cross-scenario ranking. The reference implementation
-/// the distributed driver is tested against.
+/// pool), then the cross-scenario ranking. The reference
+/// [`crate::execute_study`] is tested against.
 pub fn run_study(scenarios: &[Box<dyn Scenario>], spec: &CampaignSpec) -> StudyReport {
     let reports: Vec<CampaignReport> =
         scenarios.iter().map(|s| run_campaign(s.as_ref(), spec)).collect();
     StudyReport::assemble(spec, reports)
 }
 
-/// One entry of the flattened `(scenario, candidate)` pair lattice.
-struct Pair {
-    /// Index into the study's scenario list.
-    scenario: usize,
-    candidate: CandidateSpec,
-}
-
-/// Run the study sharded across `nranks` minimpi ranks with the shared
-/// work-stealing [`TaskPool`]. The merged report is byte-identical
-/// (JSON) to [`run_study`] for any rank count.
-pub fn run_study_distributed(
-    scenarios: &[Box<dyn Scenario>],
-    spec: &CampaignSpec,
-    nranks: usize,
-) -> StudyReport {
-    run_study_distributed_resumable(scenarios, spec, nranks, None).0
-}
-
-/// [`run_study_distributed`] with the shared study cache: pairs already
-/// cached are served without running anything (a fully-warm resume of a
-/// whole study performs zero runs, baselines included); only missing
-/// pairs enter the work-stealing queue, and every row of the merged
-/// report is written back.
-pub fn run_study_distributed_resumable(
-    scenarios: &[Box<dyn Scenario>],
-    spec: &CampaignSpec,
-    nranks: usize,
-    mut cache: Option<&mut OutcomeCache>,
-) -> (StudyReport, StudyStats) {
-    let t0 = Instant::now();
-    let nranks = nranks.max(1);
-    let max_levels: Vec<u32> = scenarios.iter().map(|s| s.max_level(&spec.params)).collect();
-
-    // The flattened pair lattice, in (scenario, candidate) order — the
-    // deterministic spine every merge below reassembles along.
-    let mut pairs: Vec<Pair> = Vec::new();
-    for (si, _) in scenarios.iter().enumerate() {
-        for c in eligible_candidates(spec, max_levels[si]) {
-            pairs.push(Pair { scenario: si, candidate: c.clone() });
-        }
-    }
-    let mut cached: Vec<Option<CandidateOutcome>> = pairs
-        .iter()
-        .map(|p| {
-            cache.as_deref().and_then(|k| {
-                k.get(scenarios[p.scenario].name(), &spec.params, &p.candidate).cloned()
-            })
-        })
-        .collect();
-    let missing: Vec<&Pair> =
-        pairs.iter().zip(&cached).filter(|(_, hit)| hit.is_none()).map(|(p, _)| p).collect();
-
-    let mut stats = StudyStats {
-        cached: pairs.len() - missing.len(),
-        computed: missing.len(),
-        pairs_by_rank: vec![0; nranks],
-        ..StudyStats::default()
-    };
-
-    // Baselines of scenarios some stealer actually touched (keyed by
-    // scenario index); fully-cached scenarios stay `None` and fall back
-    // to their cached baseline self-fidelity.
-    let (computed, baselines): (Vec<Option<CandidateOutcome>>, Vec<Option<Observable>>) =
-        if missing.is_empty() {
-            (Vec::new(), vec![None; scenarios.len()])
-        } else {
-            let pool = TaskPool::new(nranks, spec.workers);
-            let missing_ref = &missing;
-            let run = pool.run(
-                scenarios.len(),
-                FixedTasks::new(missing.len()),
-                // Stealers are plain threads, not pool workers: mark each
-                // pair run as in-sweep so a scenario's interior mesh
-                // sweeps (params.threads > 1) run inline instead of
-                // serializing all stealers on the process-wide pool's
-                // submit lock — the same one-level-of-parallelism rule
-                // pool workers get implicitly.
-                &|ctx, task, _detail| {
-                    let Pair { scenario: si, candidate } = missing_ref[task as usize];
-                    crate::distributed::with_baseline(ctx, *si as u64, |baseline| {
-                        amr::run_inline(|| {
-                            run_candidate(
-                                scenarios[*si].as_ref(),
-                                spec,
-                                candidate,
-                                max_levels[*si],
-                                baseline,
-                            )
-                        })
-                        .to_json()
-                    })
-                },
-                &|key| {
-                    amr::run_inline(|| {
-                        scenarios[key as usize].build(&spec.params).run(&Session::passthrough())
-                    })
-                    .values
-                },
-            );
-            stats.absorb_pool(run.stats);
-            let computed = run
-                .source
-                .into_payloads()
-                .into_iter()
-                .map(|p| {
-                    Some(
-                        CandidateOutcome::from_json(
-                            &p.expect("every missing pair was stolen and completed"),
-                        )
-                        .expect("outcome rows round-trip the wire"),
-                    )
-                })
-                .collect();
-            let baselines =
-                run.resources.into_iter().map(|r| r.map(|values| Observable { values })).collect();
-            (computed, baselines)
-        };
-
-    // Reassemble in pair-lattice order: cached rows slot back in where
-    // they came from, stolen rows by their pair index.
-    let mut fresh = computed.into_iter();
-    let outcomes: Vec<CandidateOutcome> = cached
-        .iter_mut()
-        .map(|slot| match slot.take() {
-            Some(o) => o,
-            None => fresh
-                .next()
-                .expect("every missing pair was stolen and completed")
-                .expect("server collected a done message per grant"),
-        })
-        .collect();
-    debug_assert!(fresh.next().is_none(), "stolen rows fully consumed");
-
-    // Per-scenario sections: group along the spine, re-gate, rank. A
-    // scenario can legitimately own zero pairs (e.g. a cutoff-only
-    // lattice on an unrefined workload); its section is just empty.
-    let mut counts = vec![0usize; scenarios.len()];
-    for p in &pairs {
-        counts[p.scenario] += 1;
-    }
-    let mut reports: Vec<CampaignReport> = Vec::with_capacity(scenarios.len());
-    let mut rows = outcomes.into_iter();
-    for (si, scenario) in scenarios.iter().enumerate() {
-        let mut section: Vec<CandidateOutcome> =
-            (0..counts[si]).map(|_| rows.next().expect("one outcome per pair")).collect();
-        regate_and_rank(&mut section, spec);
-        let baseline_fidelity = match &baselines[si] {
-            Some(obs) => scenario.fidelity(obs, obs),
-            None => cache
-                .as_deref()
-                .and_then(|k| k.baseline(scenario.name(), &spec.params))
-                .unwrap_or(1.0),
-        };
-        if let Some(k) = cache.as_deref_mut() {
-            for o in &section {
-                k.insert(scenario.name(), &spec.params, o);
-            }
-            k.set_baseline(scenario.name(), &spec.params, baseline_fidelity);
-        }
-        reports.push(CampaignReport {
-            scenario: scenario.name().to_string(),
-            crate_name: scenario.crate_name().to_string(),
-            params: spec.params,
-            fidelity_floor: spec.fidelity_floor,
-            baseline_fidelity,
-            outcomes: section,
-        });
-    }
-
-    stats.wall_s = t0.elapsed().as_secs_f64();
-    (StudyReport::assemble(spec, reports), stats)
-}
-
-/// Load the cache at `path`, run the study resumably across `nranks`
-/// ranks, persist the updated cache, and append one [`StatsRecord`] to
-/// the `stats_history.jsonl` next to it — the `--study --ranks N
-/// --resume <path>` CLI flow as one call. The history append is
-/// best-effort observability: a failure there is reported on stderr,
-/// never allowed to discard the completed (and already persisted) run.
+/// [`crate::execute_study`] against the cache directory at `path`: the
+/// `--study --ranks N --resume <path>` CLI flow as one call.
 pub fn run_study_resumed(
     scenarios: &[Box<dyn Scenario>],
     spec: &CampaignSpec,
     nranks: usize,
-    path: impl Into<std::path::PathBuf>,
+    path: impl Into<PathBuf>,
 ) -> Result<(StudyReport, StudyStats), String> {
-    let mut cache = OutcomeCache::load(path)?;
-    let (report, stats) =
-        run_study_distributed_resumable(scenarios, spec, nranks, Some(&mut cache));
-    cache.save()?;
-    if let Err(e) = append_stats_history(
-        cache.path(),
-        &StatsRecord::now(format!("study:{} scenarios", scenarios.len()), nranks, &stats),
-    ) {
-        eprintln!("warning: scheduler stats history not recorded: {e}");
-    }
-    Ok((report, stats))
+    crate::execute_study(scenarios, spec, &Exec { ranks: nranks, cache: Some(&path.into()) })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::CandidateSpec;
     use crate::registry::study_scenarios;
     use bigfloat::Format;
     use codesign::Machine;
@@ -768,8 +557,8 @@ mod tests {
             std::process::id(),
             line!()
         ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let cache_path = dir.join("cache.json");
+        let cache_path = dir.join("cache");
+        std::fs::create_dir_all(&cache_path).unwrap();
         let mk = |computed: usize| StudyStats {
             cached: 0,
             computed,
@@ -784,16 +573,16 @@ mod tests {
         let p2 =
             append_stats_history(&cache_path, &StatsRecord::now("study:1 scenarios", 2, &mk(0)))
                 .unwrap();
-        assert_eq!(p1, p2, "appends share one sibling file");
+        assert_eq!(p1, p2, "appends share one file");
         assert_eq!(p1, stats_history_path(&cache_path));
+        assert_eq!(p1, cache_path.join("stats_history.jsonl"), "inside the cache dir");
         let records = load_stats_history(&p1).unwrap();
         assert_eq!(records.len(), 2, "one row per run");
         assert_eq!(records[0].stats.computed, 5, "oldest first");
         assert_eq!(records[1].stats.computed, 0);
         assert_eq!(records[1].ranks, 2);
-        // Rows are attributable to their cache even though co-located
-        // caches share one history file.
-        assert!(records.iter().all(|r| r.cache == "cache.json"), "{:?}", records[0].cache);
+        // Rows are attributable to their cache directory.
+        assert!(records.iter().all(|r| r.cache == "cache"), "{:?}", records[0].cache);
         // Malformed lines are loud errors, not silent drops.
         std::fs::write(&p1, "{\"label\": \"x\"}\n").unwrap();
         assert!(load_stats_history(&p1).is_err());

@@ -6,8 +6,8 @@
 use bigfloat::Format;
 use raptor_core::Json;
 use raptor_lab::{
-    find, precision_search, run_campaign, run_campaigns, search_to_json, campaigns_to_json,
-    CampaignSpec, CandidateSpec, LabParams, SearchSpec,
+    find, precision_search, run_campaign, run_study, search_to_json, CampaignSpec, CandidateSpec,
+    LabParams, SearchSpec,
 };
 
 fn mini_spec(candidates: Vec<CandidateSpec>) -> CampaignSpec {
@@ -181,11 +181,10 @@ fn multi_scenario_campaign_bundles_to_json() {
         CandidateSpec::op(Format::new(11, 24)),
         CandidateSpec::op(Format::new(11, 8)),
     ]);
-    let reports = run_campaigns(&scenarios, &spec);
-    assert_eq!(reports.len(), 2);
-    let doc = campaigns_to_json(&reports);
-    let back = Json::parse(&doc.render()).unwrap();
-    let arr = back.get("campaigns").unwrap().as_arr().unwrap();
+    let study = run_study(&scenarios, &spec);
+    assert_eq!(study.scenarios.len(), 2);
+    let back = Json::parse(&study.to_json().render()).unwrap();
+    let arr = back.get("scenarios").unwrap().as_arr().unwrap();
     assert_eq!(arr.len(), 2);
     assert_eq!(arr[0].get("crate").unwrap().as_str(), Some("raptor-ir"));
     assert_eq!(arr[1].get("crate").unwrap().as_str(), Some("eos"));

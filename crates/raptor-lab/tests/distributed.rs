@@ -1,19 +1,18 @@
-//! Distributed-campaign acceptance tests: merged multi-rank reports
-//! content-identical to the single-rank sweep, lossless outcome JSON
-//! round-trips, warm resume with zero candidate re-runs, remainder
-//! sharding on the Kelvin–Helmholtz lattice, and label injectivity
-//! (the resume/merge key).
+//! Campaign and search acceptance tests through the two drivers:
+//! one-scenario studies (campaigns) and probe-stolen searches
+//! content-identical to the in-process references at any rank count,
+//! lossless outcome JSON round-trips, warm resume with zero re-runs,
+//! remainder sharding on the Kelvin–Helmholtz lattice, and label
+//! injectivity (the resume/merge key).
 
 use bigfloat::Format;
 use raptor_core::Json;
 use raptor_lab::{
-    default_candidates, find, native_candidates, precision_search, precision_search_distributed,
-    precision_search_distributed_stats, precision_search_resumable, precision_search_resumed,
-    run_campaign, run_campaign_distributed, run_campaign_distributed_resumable,
-    run_campaign_resumed, shear_candidates, CampaignReport, CampaignSpec, CandidateOutcome,
-    CandidateSpec, LabParams, OutcomeCache, SearchSpec,
+    default_candidates, execute_search, execute_study, find, native_candidates, precision_search,
+    run_campaign, shear_candidates, CampaignReport, CampaignSpec, CandidateOutcome, CandidateSpec,
+    Exec, LabParams, OutcomeCache, SearchSpec, StudyStats,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn mini_spec(candidates: Vec<CandidateSpec>) -> CampaignSpec {
     CampaignSpec {
@@ -32,6 +31,18 @@ fn tmp_cache(name: &str) -> PathBuf {
     p
 }
 
+fn exec(ranks: usize, cache: Option<&Path>) -> Exec<'_> {
+    Exec { ranks, cache }
+}
+
+/// A campaign is the one-scenario study: its single section plus the
+/// run's stats.
+fn campaign(name: &str, spec: &CampaignSpec, exec: &Exec<'_>) -> (CampaignReport, StudyStats) {
+    let (mut study, stats) = execute_study(&[find(name).unwrap()], spec, exec).unwrap();
+    assert_eq!(study.scenarios.len(), 1, "one section per scenario");
+    (study.scenarios.remove(0), stats)
+}
+
 /// The acceptance criterion: same candidate labels, fidelities, predicted
 /// speedups, and ranking. Comparing the rendered JSON compares all of it
 /// at once (labels, every f64 bit-exactly, and row order).
@@ -43,8 +54,9 @@ fn assert_reports_identical(a: &CampaignReport, b: &CampaignReport, what: &str) 
 #[test]
 fn distributed_matches_single_rank_across_three_scenarios() {
     // >= 3 scenarios x ranks in {1, 2, 3}: the merged report must be
-    // content-identical to the plain sweep. The 3-candidate lattice does
-    // not divide evenly by 2 ranks, so remainders are exercised here too.
+    // content-identical to the plain sweep, and a cacheless run computes
+    // every candidate. The 3-candidate lattice does not divide evenly by
+    // 2 ranks, so remainders are exercised here too.
     let lattice = || {
         vec![
             CandidateSpec::op(Format::new(11, 24)),
@@ -57,7 +69,9 @@ fn distributed_matches_single_rank_across_three_scenarios() {
         let spec = mini_spec(lattice());
         let single = run_campaign(scenario.as_ref(), &spec);
         for ranks in [1usize, 2, 3] {
-            let merged = run_campaign_distributed(scenario.as_ref(), &spec, ranks);
+            let (merged, stats) = campaign(name, &spec, &exec(ranks, None));
+            assert_eq!((stats.cached, stats.computed), (0, 3), "{name} at {ranks} ranks");
+            assert_eq!(stats.pairs_by_rank.len(), ranks);
             assert_reports_identical(&merged, &single, &format!("{name} at {ranks} ranks"));
         }
     }
@@ -76,7 +90,7 @@ fn kelvin_helmholtz_prime_lattice_shards_with_remainders() {
     assert_eq!(single.outcomes.len(), 7, "refinement hierarchy keeps all 7");
     assert_eq!(single.baseline_fidelity, 1.0);
     for ranks in [2usize, 3] {
-        let merged = run_campaign_distributed(scenario.as_ref(), &spec, ranks);
+        let (merged, _) = campaign(scenario.name(), &spec, &exec(ranks, None));
         assert_reports_identical(&merged, &single, &format!("KH at {ranks} ranks"));
     }
 }
@@ -110,7 +124,6 @@ fn outcome_json_round_trips_losslessly() {
 
 #[test]
 fn resume_serves_cached_rows_and_reruns_only_missing_ones() {
-    let scenario = find("ir/horner").unwrap();
     let spec = mini_spec(vec![
         CandidateSpec::op(Format::new(11, 30)),
         CandidateSpec::op(Format::new(11, 16)),
@@ -120,12 +133,12 @@ fn resume_serves_cached_rows_and_reruns_only_missing_ones() {
     let path = tmp_cache("resume");
 
     // Cold run: everything computes.
-    let (cold, s1) = run_campaign_resumed(scenario.as_ref(), &spec, 2, &path).unwrap();
+    let (cold, s1) = campaign("ir/horner", &spec, &exec(2, Some(&path)));
     assert_eq!((s1.cached, s1.computed), (0, 4));
 
     // Warm resume of a completed campaign: ZERO candidate re-runs, same
     // report (served entirely from the cache, baseline included).
-    let (warm, s2) = run_campaign_resumed(scenario.as_ref(), &spec, 2, &path).unwrap();
+    let (warm, s2) = campaign("ir/horner", &spec, &exec(2, Some(&path)));
     assert_eq!((s2.cached, s2.computed), (4, 0));
     assert_reports_identical(&warm, &cold, "warm resume");
 
@@ -136,7 +149,7 @@ fn resume_serves_cached_rows_and_reruns_only_missing_ones() {
     cache.evict_half();
     assert_eq!(cache.len(), 2);
     cache.save().unwrap();
-    let (half, s3) = run_campaign_resumed(scenario.as_ref(), &spec, 3, &path).unwrap();
+    let (half, s3) = campaign("ir/horner", &spec, &exec(3, Some(&path)));
     assert_eq!((s3.cached, s3.computed), (2, 2));
     assert_reports_identical(&half, &cold, "half-warm resume");
 
@@ -144,7 +157,7 @@ fn resume_serves_cached_rows_and_reruns_only_missing_ones() {
     // instead of replaying stale verdicts.
     let mut strict = spec.clone();
     strict.fidelity_floor = 1.0;
-    let (regated, s4) = run_campaign_resumed(scenario.as_ref(), &strict, 1, &path).unwrap();
+    let (regated, s4) = campaign("ir/horner", &strict, &exec(1, Some(&path)));
     assert_eq!(s4.computed, 0, "re-gating needs no re-runs");
     assert!(
         regated.outcomes.iter().all(|o| !o.accepted || o.fidelity >= 1.0),
@@ -154,31 +167,15 @@ fn resume_serves_cached_rows_and_reruns_only_missing_ones() {
 }
 
 #[test]
-fn resumable_without_cache_matches_plain_distributed() {
-    let scenario = find("ir/norm3").unwrap();
-    let spec = mini_spec(vec![
-        CandidateSpec::op(Format::new(11, 20)),
-        CandidateSpec::op(Format::new(11, 7)),
-    ]);
-    let (report, stats) =
-        run_campaign_distributed_resumable(scenario.as_ref(), &spec, 2, None);
-    assert_eq!((stats.cached, stats.computed), (0, 2));
-    assert_reports_identical(
-        &report,
-        &run_campaign(scenario.as_ref(), &spec),
-        "cacheless resumable",
-    );
-}
-
-#[test]
 fn distributed_precision_search_matches_single_rank() {
     let scenario = find("ir/horner").unwrap();
     let mut spec = SearchSpec::new(LabParams::mini(), 0.9999);
     spec.cutoffs = vec![0, 1, 2];
     let single = precision_search(scenario.as_ref(), &spec);
     for ranks in [1usize, 2, 3] {
-        let dist = precision_search_distributed(scenario.as_ref(), &spec, ranks);
+        let (dist, stats) = execute_search(scenario.as_ref(), &spec, &exec(ranks, None)).unwrap();
         assert_eq!(dist, single, "search rows identical at {ranks} ranks");
+        assert_eq!(stats.cached, 0, "nothing is cached without a cache");
     }
 }
 
@@ -193,22 +190,15 @@ fn warm_hunt_replays_probes_with_zero_runs() {
     spec.cutoffs = vec![0, 1, 2];
     let path = tmp_cache("hunt");
 
-    let (cold, s1) = precision_search_resumed(scenario.as_ref(), &spec, 2, &path).unwrap();
+    let (cold, s1) = execute_search(scenario.as_ref(), &spec, &exec(2, Some(&path))).unwrap();
     assert_eq!(s1.cached, 0);
     assert!(s1.computed > 0, "cold hunt computes probes");
 
-    let (warm, s2) = precision_search_resumed(scenario.as_ref(), &spec, 3, &path).unwrap();
+    let (warm, s2) = execute_search(scenario.as_ref(), &spec, &exec(3, Some(&path))).unwrap();
     assert_eq!(s2.computed, 0, "warm re-hunt performs zero scenario runs");
     assert_eq!(s2.cached, s1.computed, "every probe served from the cache");
     assert!(s2.pairs_by_rank.iter().all(|&n| n == 0), "{:?}", s2.pairs_by_rank);
     assert_eq!(warm, cold, "warm rows identical to the cold hunt");
-
-    // The serial resumable driver replays the same cache to the same
-    // rows — the ProbeChain contract holds across both drivers.
-    let mut cache = OutcomeCache::load(&path).unwrap();
-    let (serial, st) = precision_search_resumable(scenario.as_ref(), &spec, Some(&mut cache));
-    assert_eq!((st.cached, st.computed), (s1.computed, 0));
-    assert_eq!(serial, cold, "serial warm replay matches");
 
     // And the plain (uncached) search still agrees.
     assert_eq!(precision_search(scenario.as_ref(), &spec), cold);
@@ -237,8 +227,7 @@ fn probe_stealing_balances_skewed_chains_and_matches_serial() {
     );
     for ranks in [2usize, 3] {
         spec.workers = ranks; // one stealer per rank
-        let (rows, stats) =
-            precision_search_distributed_stats(scenario.as_ref(), &spec, ranks);
+        let (rows, stats) = execute_search(scenario.as_ref(), &spec, &exec(ranks, None)).unwrap();
         assert_eq!(rows, single, "rows row-for-row identical at {ranks} ranks");
         assert_eq!(stats.stealers, ranks);
         assert_eq!((stats.cached, stats.computed), (0, total));
@@ -274,7 +263,7 @@ fn distributed_search_handles_empty_and_single_chain_lattices() {
     // Empty lattice: the pool dismisses every stealer at the fair start
     // without a deadlock; no baseline ever runs.
     spec.cutoffs = Vec::new();
-    let (rows, stats) = precision_search_distributed_stats(scenario.as_ref(), &spec, 2);
+    let (rows, stats) = execute_search(scenario.as_ref(), &spec, &exec(2, None)).unwrap();
     assert!(rows.is_empty());
     assert_eq!((stats.cached, stats.computed), (0, 0));
     assert_eq!(stats.pairs_by_rank, vec![0, 0]);
@@ -284,7 +273,7 @@ fn distributed_search_handles_empty_and_single_chain_lattices() {
     // the serial row.
     spec.cutoffs = vec![1];
     let single = precision_search(scenario.as_ref(), &spec);
-    let (rows, stats) = precision_search_distributed_stats(scenario.as_ref(), &spec, 3);
+    let (rows, stats) = execute_search(scenario.as_ref(), &spec, &exec(3, None)).unwrap();
     assert_eq!(rows, single);
     assert_eq!(stats.pairs_by_rank.iter().sum::<usize>(), single[0].probes.len());
 }
@@ -295,7 +284,7 @@ fn native_lattice_answers_the_gpu_question() {
     // truncation), and every row runs without error on the native path.
     let scenario = find("ir/horner").unwrap();
     let spec = mini_spec(native_candidates());
-    let report = run_campaign_distributed(scenario.as_ref(), &spec, 2);
+    let (report, _) = campaign(scenario.name(), &spec, &exec(2, None));
     // ir has no refinement hierarchy: the M-1 twins dedup away, leaving
     // the two static native rows.
     assert_eq!(report.outcomes.len(), 2);

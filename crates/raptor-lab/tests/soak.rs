@@ -13,11 +13,11 @@
 //! is an instant no-op, so a normal test run never recurses.
 
 use raptor_lab::{
-    find, precision_search, precision_search_resumed, run_campaign, run_campaign_resumed,
-    CampaignSpec, CandidateSpec, LabParams, OutcomeCache, SearchSpec,
+    execute_search, execute_study, find, precision_search, run_campaign, CampaignSpec,
+    CandidateSpec, Exec, LabParams, OutcomeCache, SearchSpec,
 };
 use bigfloat::Format;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const ENV_DIR: &str = "RAPTOR_SOAK_DIR";
@@ -53,16 +53,16 @@ fn soak_search_spec() -> SearchSpec {
 #[test]
 fn soak_child() {
     let Ok(dir) = std::env::var(ENV_DIR) else { return };
+    let exec = Exec { ranks: 2, cache: Some(Path::new(&dir)) };
     let spec = soak_campaign_spec();
     for name in SCENARIOS {
-        let scenario = find(name).unwrap();
-        let (report, stats) = run_campaign_resumed(scenario.as_ref(), &spec, 2, &dir).unwrap();
-        assert_eq!(report.outcomes.len(), 4, "{name}: full lattice");
+        let (study, stats) = execute_study(&[find(name).unwrap()], &spec, &exec).unwrap();
+        assert_eq!(study.scenarios[0].outcomes.len(), 4, "{name}: full lattice");
         assert_eq!(stats.cached + stats.computed, 4, "{name}: every row accounted for");
     }
     let hunt = soak_search_spec();
     let scenario = find(SCENARIOS[0]).unwrap();
-    let (rows, stats) = precision_search_resumed(scenario.as_ref(), &hunt, 2, &dir).unwrap();
+    let (rows, stats) = execute_search(scenario.as_ref(), &hunt, &exec).unwrap();
     assert_eq!(rows.len(), 3, "one row per cutoff");
     assert!(stats.cached + stats.computed > 0, "hunt probed or replayed");
 }
@@ -134,7 +134,9 @@ fn fleet_of_processes_shares_one_cache_without_losing_rows_or_deadlocking() {
     for name in SCENARIOS {
         let scenario = find(name).unwrap();
         let serial = run_campaign(scenario.as_ref(), &spec);
-        let (warm, stats) = run_campaign_resumed(scenario.as_ref(), &spec, 1, &dir).unwrap();
+        let (mut study, stats) =
+            execute_study(&[scenario], &spec, &Exec { ranks: 1, cache: Some(&dir) }).unwrap();
+        let warm = study.scenarios.remove(0);
         assert_eq!((stats.cached, stats.computed), (4, 0), "{name}: fully warm");
         assert_eq!(warm.to_json().render(), serial.to_json().render(), "{name}: identical");
         assert_eq!(warm, serial, "{name}: identical (structural)");
@@ -142,7 +144,8 @@ fn fleet_of_processes_shares_one_cache_without_losing_rows_or_deadlocking() {
     let hunt = soak_search_spec();
     let scenario = find(SCENARIOS[0]).unwrap();
     let serial_rows = precision_search(scenario.as_ref(), &hunt);
-    let (warm_rows, hs) = precision_search_resumed(scenario.as_ref(), &hunt, 2, &dir).unwrap();
+    let (warm_rows, hs) =
+        execute_search(scenario.as_ref(), &hunt, &Exec { ranks: 2, cache: Some(&dir) }).unwrap();
     assert_eq!(hs.computed, 0, "warm re-hunt performs zero scenario runs");
     assert!(hs.cached > 0);
     assert_eq!(warm_rows, serial_rows, "hunt rows identical to serial");

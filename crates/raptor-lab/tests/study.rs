@@ -1,16 +1,16 @@
-//! Study-orchestration acceptance tests: the work-stealing merge is
-//! content-identical to the single-rank study at 1/2/3 ranks, a warm
-//! shared-cache resume of a full study performs zero runs, a skewed pair
-//! lattice still hands every rank work, and the subset resolver keeps
-//! registry order.
+//! Study-orchestration acceptance tests: the work-stealing merge of
+//! `execute_study` is content-identical to the single-rank study at 1/2/3
+//! ranks, a warm shared-cache resume of a full study performs zero runs,
+//! a skewed pair lattice still hands every rank work, an empty section
+//! merges like any other, and the subset resolver keeps registry order.
 
 use bigfloat::Format;
 use raptor_core::Json;
 use raptor_lab::{
-    run_study, run_study_distributed, run_study_distributed_resumable, run_study_resumed,
-    study_scenarios, CampaignSpec, CandidateSpec, LabParams, OutcomeCache, StudyReport,
+    execute_study, run_study, run_study_resumed, study_scenarios, CampaignSpec, CandidateSpec,
+    Exec, LabParams, OutcomeCache, StudyReport,
 };
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn mini_spec(candidates: Vec<CandidateSpec>, workers: usize) -> CampaignSpec {
     CampaignSpec {
@@ -27,6 +27,10 @@ fn tmp_cache(name: &str) -> PathBuf {
     p.push(format!("raptor-study-test-{}-{name}-cache", std::process::id()));
     let _ = std::fs::remove_dir_all(&p);
     p
+}
+
+fn exec(ranks: usize, cache: Option<&Path>) -> Exec<'_> {
+    Exec { ranks, cache }
 }
 
 /// The acceptance criterion: byte-identical JSON (labels, every f64,
@@ -55,7 +59,7 @@ fn work_stealing_study_matches_single_rank_at_1_2_3_ranks() {
     assert_eq!(single.scenarios.len(), 3);
     assert_eq!(single.ranking.len(), 3);
     for ranks in [1usize, 2, 3] {
-        let stolen = run_study_distributed(&scenarios, &spec, ranks);
+        let (stolen, _) = execute_study(&scenarios, &spec, &exec(ranks, None)).unwrap();
         assert_studies_identical(&stolen, &single, &format!("study at {ranks} ranks"));
     }
 }
@@ -69,7 +73,7 @@ fn study_sections_match_standalone_campaigns() {
         vec![CandidateSpec::op(Format::new(11, 20)), CandidateSpec::op(Format::new(11, 8))],
         4,
     );
-    let study = run_study_distributed(&scenarios, &spec, 2);
+    let (study, _) = execute_study(&scenarios, &spec, &exec(2, None)).unwrap();
     for scenario in &scenarios {
         let standalone = raptor_lab::run_campaign(scenario.as_ref(), &spec);
         let section = study.scenario(scenario.name()).expect("section present");
@@ -92,13 +96,13 @@ fn warm_resume_of_a_full_study_performs_zero_runs() {
     let path = tmp_cache("warm");
 
     // Cold: every pair computes, spread across the rank pool.
-    let (cold, s1) = run_study_resumed(&scenarios, &spec, 2, &path).unwrap();
+    let (cold, s1) = execute_study(&scenarios, &spec, &exec(2, Some(&path))).unwrap();
     assert_eq!((s1.cached, s1.computed), (0, 6));
     assert_eq!(s1.pairs_by_rank.iter().sum::<usize>(), 6, "{:?}", s1.pairs_by_rank);
 
     // Warm: the whole study is served from the shared cache — zero pair
     // runs, zero baseline runs, and the report is byte-identical.
-    let (warm, s2) = run_study_resumed(&scenarios, &spec, 3, &path).unwrap();
+    let (warm, s2) = execute_study(&scenarios, &spec, &exec(3, Some(&path))).unwrap();
     assert_eq!((s2.cached, s2.computed), (6, 0));
     assert!(s2.pairs_by_rank.iter().all(|&n| n == 0), "{:?}", s2.pairs_by_rank);
     assert_studies_identical(&warm, &cold, "warm study resume");
@@ -108,7 +112,7 @@ fn warm_resume_of_a_full_study_performs_zero_runs() {
     assert_eq!(cache.len(), 6);
     cache.evict_half();
     cache.save().unwrap();
-    let (half, s3) = run_study_resumed(&scenarios, &spec, 2, &path).unwrap();
+    let (half, s3) = execute_study(&scenarios, &spec, &exec(2, Some(&path))).unwrap();
     assert_eq!((s3.cached, s3.computed), (3, 3));
     assert_studies_identical(&half, &cold, "half-warm study resume");
     let _ = std::fs::remove_dir_all(&path);
@@ -116,23 +120,26 @@ fn warm_resume_of_a_full_study_performs_zero_runs() {
 
 #[test]
 fn campaign_and_study_share_one_cache_dir() {
-    // A standalone distributed campaign warms the cache; the study then
+    // A one-scenario study (a campaign) warms the cache; the study then
     // reuses those rows (the key already carries the scenario name) and
-    // only computes the other scenario's pairs.
+    // only computes the other scenario's pairs. Each run's history row
+    // carries its label.
     let spec = mini_spec(
         vec![CandidateSpec::op(Format::new(11, 22)), CandidateSpec::op(Format::new(11, 5))],
         4,
     );
     let path = tmp_cache("shared");
-    let horner = raptor_lab::find("ir/horner").unwrap();
-    let (_, s) =
-        raptor_lab::run_campaign_resumed(horner.as_ref(), &spec, 2, &path).unwrap();
+    let horner = study_scenarios(Some("ir/horner")).unwrap();
+    let (_, s) = execute_study(&horner, &spec, &exec(2, Some(&path))).unwrap();
     assert_eq!((s.cached, s.computed), (0, 2));
 
     let scenarios = study_scenarios(Some("ir/horner,ir/norm3")).unwrap();
-    let (study, stats) = run_study_resumed(&scenarios, &spec, 2, &path).unwrap();
+    let (study, stats) = execute_study(&scenarios, &spec, &exec(2, Some(&path))).unwrap();
     assert_eq!((stats.cached, stats.computed), (2, 2), "horner rows reused");
     assert_eq!(study.scenarios.len(), 2);
+    let records = raptor_lab::load_stats_history(&path.join("stats_history.jsonl")).unwrap();
+    let labels: Vec<&str> = records.iter().map(|r| r.label.as_str()).collect();
+    assert_eq!(labels, vec!["campaign:ir/horner", "study:2 scenarios"]);
     let _ = std::fs::remove_dir_all(&path);
 }
 
@@ -194,7 +201,7 @@ fn skewed_lattice_still_feeds_every_rank() {
     );
     let single = run_study(&scenarios, &spec);
     for ranks in [2usize, 3] {
-        let (stolen, stats) = run_study_distributed_resumable(&scenarios, &spec, ranks, None);
+        let (stolen, stats) = execute_study(&scenarios, &spec, &exec(ranks, None)).unwrap();
         assert_eq!(stats.pairs_by_rank.len(), ranks);
         assert_eq!(stats.pairs_by_rank.iter().sum::<usize>(), 9);
         assert!(
@@ -222,12 +229,42 @@ fn study_over_refined_scenarios_keeps_cutoff_pairs() {
         ],
         4,
     );
-    let (study, stats) = run_study_distributed_resumable(&scenarios, &spec, 2, None);
+    let (study, stats) = execute_study(&scenarios, &spec, &exec(2, None)).unwrap();
     assert_eq!(stats.computed, 3, "2 KH pairs + 1 deduped ir pair");
     let kh = study.scenario("hydro/kelvin-helmholtz").unwrap();
     assert_eq!(kh.outcomes.len(), 2, "refinement hierarchy keeps the M-1 row");
     let ir = study.scenario("ir/horner").unwrap();
     assert_eq!(ir.outcomes.len(), 1, "unrefined scenario dedups the M-1 twin");
+}
+
+#[test]
+fn cutoff_only_lattice_on_an_unrefined_scenario_merges_an_empty_section() {
+    // ir/horner has no refinement hierarchy, so a cutoff-only lattice
+    // dedups to zero pairs: no task, no baseline run, an empty section
+    // with the exact baseline fidelity — cold and warm, at 1 and 2 ranks,
+    // byte-identical to the in-process campaign.
+    let scenarios = study_scenarios(Some("ir/horner")).unwrap();
+    let spec = mini_spec(vec![CandidateSpec::op(Format::FP32).with_cutoff(1)], 4);
+    let single = raptor_lab::run_campaign(scenarios[0].as_ref(), &spec);
+    assert!(single.outcomes.is_empty());
+    for ranks in [1usize, 2] {
+        let path = tmp_cache(&format!("empty-{ranks}"));
+        for leg in ["cold", "warm"] {
+            let (study, stats) =
+                execute_study(&scenarios, &spec, &exec(ranks, Some(&path))).unwrap();
+            assert_eq!((stats.cached, stats.computed), (0, 0), "{leg} at {ranks} ranks");
+            assert_eq!(stats.pairs_by_rank, vec![0; ranks]);
+            let section = &study.scenarios[0];
+            assert!(section.outcomes.is_empty());
+            assert_eq!(section.baseline_fidelity, 1.0, "{leg} at {ranks} ranks");
+            assert_eq!(
+                section.to_json().render(),
+                single.to_json().render(),
+                "{leg} at {ranks} ranks"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&path);
+    }
 }
 
 #[test]
@@ -261,7 +298,7 @@ fn study_ranking_is_deterministically_ordered() {
         vec![CandidateSpec::op(Format::new(11, 40)), CandidateSpec::op(Format::new(11, 4))],
         4,
     );
-    let study = run_study_distributed(&scenarios, &spec, 2);
+    let (study, _) = execute_study(&scenarios, &spec, &exec(2, None)).unwrap();
     // Sections stay in registry order; the ranking is its own sort.
     let section_names: Vec<&str> =
         study.scenarios.iter().map(|r| r.scenario.as_str()).collect();

@@ -4,11 +4,11 @@
 //! roofline-resolved predicted speedup. Since the distributed-campaign
 //! work the sweep shards across minimpi ranks (`--ranks N`), restarts
 //! warm from an outcome cache (`--resume <dir>` — a sharded cache
-//! directory that any number of concurrent processes append to; a
-//! legacy single-file cache migrates in place on first load), and can
+//! directory that any number of concurrent processes append to), and can
 //! restrict itself to the GPU-native fp32/fp64 lattice (`--native`).
-//! `--study`
-//! runs the paper's headline artifact instead: every registry scenario
+//! Every sweep runs through `raptor_lab::execute_study` (a
+//! single-scenario sweep is the one-scenario study). `--study` runs the
+//! paper's headline artifact instead: every registry scenario
 //! (or a `--scenarios a,b,c` subset) swept over the same lattice, the
 //! `(scenario, candidate)` pairs distributed with the work-stealing
 //! scheduler, and the results merged into one Table-1-style markdown
@@ -29,11 +29,10 @@
 //! cargo run --release -p raptor-examples --bin codesign_advisor -- --stats-history sweep-cache/stats_history.jsonl
 //! ```
 
-use raptor_examples::parse_lab_args;
+use raptor_examples::{or_exit, parse_lab_args};
 use raptor_lab::{
-    load_stats_history, native_candidates, render_stats_history,
-    run_campaign_distributed_resumable, run_campaign_resumed, run_study_distributed_resumable,
-    run_study_resumed, study_scenarios, CampaignSpec, OutcomeCache, ResumeStats,
+    execute_study, load_stats_history, native_candidates, render_stats_history, study_scenarios,
+    CampaignSpec, Exec, OutcomeCache,
 };
 
 fn main() {
@@ -45,10 +44,10 @@ fn main() {
             eprintln!("--cache-evict-half wants a cache path");
             std::process::exit(2);
         });
-        let mut cache = OutcomeCache::load(path).expect("load cache");
+        let mut cache = or_exit(OutcomeCache::load(path));
         let before = cache.len();
         cache.evict_half();
-        cache.save().expect("save cache");
+        or_exit(cache.save());
         println!("cache-evict: {before} -> {} entries", cache.len());
         return;
     }
@@ -60,15 +59,13 @@ fn main() {
             eprintln!("--stats-history wants a stats_history.jsonl path");
             std::process::exit(2);
         });
-        let records = load_stats_history(std::path::Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+        let records = or_exit(load_stats_history(std::path::Path::new(path)));
         print!("{}", render_stats_history(&records));
         return;
     }
 
     let args = parse_lab_args("hydro/sod");
+    let exec = Exec { ranks: args.ranks, cache: args.resume.as_deref() };
     let mut spec = CampaignSpec::sweep(args.params);
     if args.native {
         spec.candidates = native_candidates();
@@ -90,10 +87,7 @@ fn main() {
             (true, None) => Some(args.scenario.name().to_string()),
             (false, subset) => subset.map(str::to_string),
         };
-        let scenarios = study_scenarios(subset.as_deref()).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        });
+        let scenarios = or_exit(study_scenarios(subset.as_deref()));
         println!(
             "codesign study: {} scenario(s) x {} candidates across {} rank(s), fidelity floor {}",
             scenarios.len(),
@@ -101,11 +95,7 @@ fn main() {
             args.ranks,
             spec.fidelity_floor
         );
-        let (study, stats) = match &args.resume {
-            Some(path) => run_study_resumed(&scenarios, &spec, args.ranks, path)
-                .expect("resume cache"),
-            None => run_study_distributed_resumable(&scenarios, &spec, args.ranks, None),
-        };
+        let (study, stats) = or_exit(execute_study(&scenarios, &spec, &exec));
         println!(
             "resume: cached={} computed={} pairs_by_rank={:?} stealers={} queue_wait={:.3}s wall={:.3}s",
             stats.cached,
@@ -145,13 +135,9 @@ fn main() {
         if args.native { " (GPU-native lattice)" } else { "" }
     );
 
-    let (report, stats): (_, ResumeStats) = match &args.resume {
-        Some(path) => run_campaign_resumed(args.scenario.as_ref(), &spec, args.ranks, path)
-            .expect("resume cache"),
-        None => {
-            run_campaign_distributed_resumable(args.scenario.as_ref(), &spec, args.ranks, None)
-        }
-    };
+    let (mut study, stats) =
+        or_exit(execute_study(std::slice::from_ref(&args.scenario), &spec, &exec));
+    let report = study.scenarios.remove(0);
     println!("resume: cached={} computed={}", stats.cached, stats.computed);
     if let Some(path) = &args.resume {
         // Best-effort append (failures are warned on stderr); this line

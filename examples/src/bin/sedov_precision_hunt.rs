@@ -9,7 +9,9 @@
 //! campaign — bisecting mantissa widths makes no sense when only
 //! hardware formats are on the table); `--resume DIR` hunts against a
 //! sharded probe cache, so interrupted hunts restart warm and a
-//! completed hunt replays with zero scenario runs.
+//! completed hunt replays with zero scenario runs. Hunts run through
+//! `raptor_lab::execute_search`, the native sweep through
+//! `raptor_lab::execute_study`.
 //!
 //! ```sh
 //! cargo run --release -p raptor-examples --bin sedov_precision_hunt
@@ -22,11 +24,10 @@
 //! `--tiny` switches to the mini scale (coarse grid, few steps) for CI
 //! smoke runs; an optional scenario name hunts any registry entry.
 
-use raptor_examples::parse_lab_args;
+use raptor_examples::{or_exit, parse_lab_args};
 use raptor_lab::{
-    native_candidates, precision_search_distributed_stats, precision_search_resumed,
-    run_campaign_distributed, run_campaign_resumed, search_to_json, study_scenarios,
-    CampaignSpec, Scenario, SearchSpec,
+    execute_search, execute_study, native_candidates, search_to_json, study_scenarios,
+    CampaignSpec, Exec, Scenario, SearchSpec,
 };
 
 fn main() {
@@ -46,12 +47,10 @@ fn main() {
         std::process::exit(2);
     }
     let scenarios: Vec<Box<dyn Scenario>> = match args.scenarios.as_deref() {
-        Some(subset) => study_scenarios(Some(subset)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }),
+        Some(subset) => or_exit(study_scenarios(Some(subset))),
         None => vec![args.scenario],
     };
+    let exec = Exec { ranks: args.ranks, cache: args.resume.as_deref() };
 
     if args.native {
         // The GPU-native hunt: no mantissa ladder to bisect — sweep the
@@ -66,16 +65,12 @@ fn main() {
                 args.params.scale,
                 args.ranks
             );
-            let report = match &args.resume {
-                Some(path) => {
-                    let (report, stats) =
-                        run_campaign_resumed(scenario.as_ref(), &spec, args.ranks, path)
-                            .expect("resume cache");
-                    println!("resume: cached={} computed={}", stats.cached, stats.computed);
-                    report
-                }
-                None => run_campaign_distributed(scenario.as_ref(), &spec, args.ranks),
-            };
+            let (mut study, stats) =
+                or_exit(execute_study(std::slice::from_ref(scenario), &spec, &exec));
+            if args.resume.is_some() {
+                println!("resume: cached={} computed={}", stats.cached, stats.computed);
+            }
+            let report = study.scenarios.remove(0);
             println!();
             print!("{}", report.render_table());
             println!();
@@ -107,11 +102,7 @@ fn main() {
         // bisection probe is a deterministic (scenario, scale, cutoff, m)
         // point, so a warm re-hunt replays the chains with zero scenario
         // runs — and any number of concurrent hunts share the cache.
-        let (rows, stats) = match &args.resume {
-            Some(path) => precision_search_resumed(scenario.as_ref(), &spec, args.ranks, path)
-                .expect("resume cache"),
-            None => precision_search_distributed_stats(scenario.as_ref(), &spec, args.ranks),
-        };
+        let (rows, stats) = or_exit(execute_search(scenario.as_ref(), &spec, &exec));
         println!(
             "steal: probes cached={} computed={} probes_by_rank={:?} stealers={} queue_wait={:.3}s",
             stats.cached, stats.computed, stats.pairs_by_rank, stats.stealers, stats.queue_wait_s

@@ -16,11 +16,12 @@
 //! * `--resume <dir>` — persist per-candidate outcomes (and, for
 //!   precision hunts, per-probe results) to a sharded cache directory so
 //!   interrupted or repeated runs restart warm; any number of concurrent
-//!   processes share one cache (per-shard advisory locks), a legacy
-//!   single-file cache migrates in place on first load, and every
+//!   processes share one cache (per-shard advisory locks), and every
 //!   resumed run appends its scheduler stats to the
 //!   `stats_history.jsonl` inside the cache, rendered by
-//!   `codesign_advisor --stats-history <path>`;
+//!   `codesign_advisor --stats-history <path>`. A path that is not a
+//!   directory is an error (exit status 2), and the file is left as it
+//!   was;
 //! * `--native` — restrict the lattice to the GPU-native fp32/fp64
 //!   hardware path (`raptor_lab::native_candidates`, the §3.6 question);
 //! * `--study` — sweep the whole registry into one cross-scenario
@@ -28,6 +29,10 @@
 //!   the work-stealing scheduler when `--ranks > 1`);
 //! * `--scenarios a,b,c` — restrict a study (or a multi-scenario hunt)
 //!   to a comma-separated registry subset, resolved in registry order.
+//!
+//! `--ranks` and `--resume` together are the [`raptor_lab::Exec`] the
+//! binaries hand to `raptor_lab::execute_study` or
+//! `raptor_lab::execute_search`.
 
 #![forbid(unsafe_code)]
 
@@ -103,6 +108,16 @@ pub fn parse_lab_args(default_scenario: &str) -> LabArgs {
     });
     let params = if tiny { LabParams::mini() } else { LabParams::demo() };
     LabArgs { scenario, named, params, ranks, resume, native, study, scenarios }
+}
+
+/// Unwrap a result, or print its error and exit with status 2 — the
+/// status of every argument error, so a bad `--resume` path or scenario
+/// subset fails like a bad flag instead of panicking.
+pub fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    })
 }
 
 fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
